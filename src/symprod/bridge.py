@@ -10,6 +10,7 @@ unimodular.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ from .quotient import (
     quotient_basis,
 )
 from .rings import Ring
-from .sympower import TheoremViolationError, enumerate_basis, expand
+from .sympower import BasisIndex, IndexProduct, enumerate_basis
 from .tensors import TensorElement, sym_element, tensor_multiply
 
 
@@ -62,7 +63,15 @@ class BridgeReport:
 
 class SurfacePowerMap:
     """The generator assignment from the quotient model into the n-th
-    tensor power of the genus-g surface ring."""
+    tensor power of the genus-g surface ring.
+
+    ``image`` and ``image_of_monomial`` build the image as a tensor, the
+    reference the tests compare against.  ``coordinates`` works in the
+    tensor-power basis instead: the image of a monomial is the chain of
+    integer kernel products of the spread classes chi[a_i], chi[a_{i+g}]
+    and chi[b] in the canonical written order.  Kernel products are
+    cached per map.
+    """
 
     def __init__(self, g: int, n: int, ring: Ring | None = None):
         self.g = g
@@ -73,6 +82,16 @@ class SurfacePowerMap:
         self.xi_prime = {i: sym_element(self.ring, n, [self.ring.gen(f"a{i + g}")])
                          for i in range(1, g + 1)}
         self.eta = sym_element(self.ring, n, [self.ring.gen("b")])
+        pos = self.ring.position
+        self._xi_idx = {i: BasisIndex((pos[f"a{i}"],), (), n - 1)
+                        for i in range(1, g + 1)}
+        self._xi_prime_idx = {i: BasisIndex((pos[f"a{i + g}"],), (), n - 1)
+                              for i in range(1, g + 1)}
+        self._eta_idx = BasisIndex((), ((pos["b"], 1),), n - 1)
+        self._unit_idx = BasisIndex((), (), n)
+        self._kernel = IndexProduct(self.ring)
+        self._products: dict[tuple[BasisIndex, BasisIndex], dict[BasisIndex, int]] = {}
+        self._positions: dict[int, dict[BasisIndex, int]] = {}
 
     def image_of_monomial(self, m: Monomial) -> TensorElement:
         """Product of the generator images in the canonical written order."""
@@ -91,17 +110,48 @@ class SurfacePowerMap:
             out = out + c * self.image_of_monomial(m)
         return out
 
+    def generator_indices(self, m: Monomial) -> list[BasisIndex]:
+        """Spread classes of the generators of m, in the written order."""
+        return ([self._xi_idx[i] for i in m.xs]
+                + [self._xi_prime_idx[j] for j in m.xp]
+                + [self._eta_idx] * m.q)
+
+    def times(self, vec: dict[BasisIndex, int],
+              gens: list[BasisIndex]) -> dict[BasisIndex, int]:
+        """Basis coordinates of vec multiplied on the right by the spread
+        classes ``gens`` in turn."""
+        for gen in gens:
+            out: dict[BasisIndex, int] = {}
+            for k, c in vec.items():
+                product = self._products.get((k, gen))
+                if product is None:
+                    product = self._products[(k, gen)] = self._kernel(k, gen)
+                for idx, v in product.items():
+                    out[idx] = out.get(idx, 0) + c * v
+            vec = {idx: v for idx, v in out.items() if v}
+        return vec
+
+    def monomial_coordinates(self, m: Monomial) -> dict[BasisIndex, int]:
+        """Basis coordinates of image_of_monomial(m)."""
+        return self.times({self._unit_idx: 1}, self.generator_indices(m))
+
+    def polynomial_coordinates(self, p: Polynomial) -> dict[BasisIndex, int]:
+        """Basis coordinates of image(p); empty iff the image is zero."""
+        out: dict[BasisIndex, int] = {}
+        for m, c in p.terms.items():
+            for idx, v in self.monomial_coordinates(m).items():
+                out[idx] = out.get(idx, 0) + c * v
+        return {idx: v for idx, v in out.items() if v}
+
     def coordinates(self, p: Polynomial, degree: int) -> list[int]:
         """Integer coordinates of the image in the tensor-power basis."""
-        basis = enumerate_basis(self.ring, self.n, degree=degree)
-        combo = expand(self.image(p))
-        vec = [0] * len(basis)
-        pos = {idx: k for k, idx in enumerate(basis)}
-        for idx, c in combo.items():
-            if c.denominator != 1:
-                raise TheoremViolationError(
-                    f"non-integer coordinate {c} for {p!r} in degree {degree}")
-            vec[pos[idx]] = int(c)
+        pos = self._positions.get(degree)
+        if pos is None:
+            basis = enumerate_basis(self.ring, self.n, degree=degree)
+            pos = self._positions[degree] = {idx: k for k, idx in enumerate(basis)}
+        vec = [0] * len(pos)
+        for idx, c in self.polynomial_coordinates(p).items():
+            vec[pos[idx]] = c
         return vec
 
 
@@ -124,6 +174,13 @@ def bridge_degree(g: int, n: int, s: int) -> DegreeMatrix:
     )
 
 
+def pool_size(jobs: int, tasks: int, cpus: int | None) -> int:
+    """Worker processes to start: no more than requested, than there are
+    tasks, or than there are cpus (unknown counts as 1); at least 1.  A
+    process pool starts all its workers at once."""
+    return max(1, min(jobs, tasks, cpus or 1))
+
+
 def check_isomorphism(g: int, n: int, mode: str = "full",
                       max_degree: int | None = None,
                       jobs: int = 1) -> BridgeReport:
@@ -137,21 +194,19 @@ def check_isomorphism(g: int, n: int, mode: str = "full",
     top = 2 * n if max_degree is None else min(max_degree, 2 * n)
     report = BridgeReport(g, n, mode, max_degree=top)
     degrees = list(range(top + 1))
-    if jobs > 1:
+    workers = pool_size(jobs, len(degrees), os.cpu_count())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(bridge_degree, [g] * len(degrees),
                                     [n] * len(degrees), degrees))
         report.degrees.extend(sorted(results, key=lambda d: d.degree))
     else:
         report.degrees.extend(bridge_degree(g, n, s) for s in degrees)
     fmap = SurfacePowerMap(g, n)
-    vanish = True
-    for poly in ideal_generators(g, n, mode).polys:
-        if not fmap.image(poly).is_zero():
-            vanish = False
-            break
-    report.relations_vanish = vanish
+    report.relations_vanish = not any(
+        fmap.polynomial_coordinates(poly)
+        for poly in ideal_generators(g, n, mode).polys)
     return report
 
 
@@ -164,14 +219,16 @@ def multiplicativity_spot_check(g: int, n: int, samples: int = 8,
     pool = [m for s in range(1, n + 1) for m in monomials_of_degree(g, s)]
     for _ in range(samples):
         m1, m2 = rng.choice(pool), rng.choice(pool)
-        direct = tensor_multiply(fmap.image_of_monomial(m1),
-                                 fmap.image_of_monomial(m2))
+        # image(m1) * image(m2), by associativity the chain of m1's
+        # generators continued by m2's
+        direct = fmap.times(fmap.monomial_coordinates(m1),
+                            fmap.generator_indices(m2))
         if m1.degree + m2.degree > 2 * n:
-            if not direct.is_zero():
+            if direct:
                 return False
             continue
         reduced = multiply_nf(Polynomial.monomial(m1), Polynomial.monomial(m2), g, n)
-        if fmap.image(reduced) != direct:
+        if fmap.polynomial_coordinates(reduced) != direct:
             return False
     return True
 

@@ -12,8 +12,8 @@ Subcommands (each accepts --format text|json):
   bridge --g G --n N         degreewise change of basis between the two models
 
 Exit codes: 0 success, 2 malformed input, 3 violated theorem claim
-(non-integer structure constant, torsion, failed certificate), 4 resource
-bound reached (partial bridge report).
+(non-integer structure constant, torsion, failed certificate) or internal
+inconsistency, 4 resource bound reached (partial bridge report).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from . import quotient
 from .fixtures import resolve_spec_path
 from .rings import RingSpecError, load_ring
 from .sympower import (
+    InternalInconsistencyError,
     TheoremViolationError,
     enumerate_basis,
     index_to_dict,
@@ -279,8 +280,11 @@ def main(argv=None) -> int:
             quotient.NonHomogeneousError, quotient.InvalidModeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (TheoremViolationError,) as e:
+    except TheoremViolationError as e:
         print(f"theorem violation: {e}", file=sys.stderr)
+        return EXIT_THEOREM
+    except (InternalInconsistencyError, quotient.QuotientInvariantError) as e:
+        print(f"internal inconsistency: {e}", file=sys.stderr)
         return EXIT_THEOREM
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

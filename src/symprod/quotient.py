@@ -32,6 +32,12 @@ class PolyParseError(ValueError):
     pass
 
 
+class QuotientInvariantError(RuntimeError):
+    """A fact the quotient model rests on failed to hold: a minimal
+    generating set of the wrong size, or a relation whose leading
+    coefficient is not +-1.  Signals a fault in this module, not bad input."""
+
+
 @dataclass(frozen=True)
 class Monomial:
     """Canonical monomial x_{xs} x'_{xp} y^q with xs, xp sorted index tuples."""
@@ -239,7 +245,10 @@ def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
         if (n % 2 == 1) != want_odd:
             raise InvalidModeError(f"{mode} needs n of matching parity, got n={n}")
         monomials = [m for m in monomials_of_weight(g, n + 1) if m.q == 0]
-        assert len(monomials) == comb(2 * g, n + 1)
+        if len(monomials) != comb(2 * g, n + 1):
+            raise QuotientInvariantError(
+                f"{len(monomials)} degree-{n + 1} relations for g={g}, n={n}, "
+                f"expected C({2 * g}, {n + 1}) = {comb(2 * g, n + 1)}")
         if not want_odd:
             half = tuple(range(1, n // 2 + 1))
             monomials = monomials + [Monomial(half, half, 1)]
@@ -275,8 +284,10 @@ def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
         if target.abcq[2] == 0:
             continue
         rel = relation_poly(target)
-        eps = rel.terms[target]
-        assert eps in (1, -1)
+        eps = rel.terms.get(target, 0)
+        if eps not in (1, -1):
+            raise QuotientInvariantError(
+                f"relation of {target.word()} has leading coefficient {eps}, not +-1")
         for m, c in rel.terms.items():
             if m == target:
                 continue

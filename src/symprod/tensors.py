@@ -268,7 +268,7 @@ def stabilizer_order(ring: Ring, sorted_slots: tuple[int, ...]) -> int:
     return order
 
 
-def _has_repeated_odd(ring: Ring, sorted_slots: tuple[int, ...]) -> bool:
+def has_repeated_odd(ring: Ring, sorted_slots: tuple[int, ...]) -> bool:
     return any(a == b and ring.slot_degree(a) % 2
                for a, b in zip(sorted_slots, sorted_slots[1:]))
 
@@ -285,7 +285,7 @@ def symmetrize(t: TensorElement) -> TensorElement:
     n_fact = factorial(n)
     for slots, coeff in t.terms.items():
         base, base_sign = sorted_slots_with_sign(ring, slots)
-        if _has_repeated_odd(ring, base):
+        if has_repeated_odd(ring, base):
             continue
         weight = coeff * base_sign * Fraction(stabilizer_order(ring, base), n_fact)
         for arr, sign in signed_arrangements(ring, base):

@@ -2,6 +2,7 @@ from symprod.bridge import (
     SurfacePowerMap,
     check_isomorphism,
     multiplicativity_spot_check,
+    pool_size,
     report_from_dict,
     report_to_dict,
 )
@@ -76,3 +77,13 @@ def test_report_json_round_trip():
     again = report_from_dict(doc)
     assert report_to_dict(again) == doc
     assert again.verdict == report.verdict
+
+
+def test_pool_size_clamps_to_tasks_and_cpus():
+    # computed only; no pool is started with these values
+    assert pool_size(10**9, 9, 2) == 2
+    assert pool_size(10**9, 3, 10**6) == 3
+    assert pool_size(4, 10**9, 10**6) == 4
+    assert pool_size(10**9, 10**9, None) == 1
+    assert pool_size(0, 9, 8) == 1
+    assert pool_size(-5, 9, 8) == 1

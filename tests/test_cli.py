@@ -149,6 +149,53 @@ def test_failed_certificate_exit_code(capsys, monkeypatch):
     assert "FAILED" in out
 
 
+def test_internal_inconsistency_exit_code(capsys, monkeypatch):
+    from symprod.sympower import InternalInconsistencyError
+
+    def broken(ring, slots):
+        raise InternalInconsistencyError(f"odd generator repeated in {slots}")
+
+    monkeypatch.setattr("symprod.sympower.index_from_sorted_slots", broken)
+    code, _, err = run(capsys, "sym-table", "torus.ring", "--n", "2",
+                       "--max-degree", "4")
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("internal inconsistency: odd generator repeated")
+
+
+def test_quotient_invariant_exit_code(capsys, monkeypatch):
+    from math import comb
+    monkeypatch.setattr("symprod.quotient.comb", lambda a, b: comb(a, b) + 1)
+    code, _, err = run(capsys, "relations", "--g", "2", "--n", "2",
+                       "--mode", "minimal_even")
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("internal inconsistency:")
+
+
+def test_non_integer_structure_constant_exit_code(capsys, monkeypatch):
+    from symprod import sympower
+    whole = sympower.signed_arrangements
+    monkeypatch.setattr(sympower, "signed_arrangements",
+                        lambda ring, slots: list(whole(ring, slots))[:-1])
+    code, _, err = run(capsys, "sym-table", "sphere2.ring", "--n", "3",
+                       "--max-degree", "6")
+    assert code == 3
+    assert err.startswith("theorem violation: non-integer structure constant 1/2")
+
+
+def test_sym_table_rejects_parity_breaking_ring(tmp_path, capsys):
+    bad = {
+        "generators": [{"name": "a", "degree": 1}, {"name": "u", "degree": 2}],
+        "products": [{"left": "a", "right": "a", "result": [{"gen": "a", "coeff": 1}]}],
+    }
+    path = tmp_path / "parity.ring"
+    path.write_text(json.dumps(bad))
+    code, _, err = run(capsys, "sym-table", str(path), "--n", "2", "--max-degree", "2")
+    assert code == 2
+    assert "degree parity" in err
+
+
 def test_fixture_env_var(tmp_path, capsys, monkeypatch):
     # a spec resolved through the fixture-path environment variable
     src = packaged_fixture_dir() + "/torus.ring"

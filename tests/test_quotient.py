@@ -13,6 +13,7 @@ from symprod.quotient import (
     NonHomogeneousError,
     PolyParseError,
     Polynomial,
+    QuotientInvariantError,
     betti,
     format_poly,
     ideal_degree_rows,
@@ -135,6 +136,19 @@ def test_full_mode_counts_weight():
     gens = ideal_generators(2, 2, "full")
     assert all(m.weight == 3 for m in gens.monomials)
     assert gens.monomials == monomials_of_weight(2, 3)
+
+
+def test_minimal_set_of_wrong_size_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr("symprod.quotient.comb", lambda a, b: comb(a, b) + 1)
+    with pytest.raises(QuotientInvariantError, match="expected C\\(4, 3\\) = 5"):
+        ideal_generators(2, 2, "minimal_even")
+
+
+def test_relation_leading_coefficient_not_unit_is_a_typed_error(monkeypatch):
+    whole = relation_poly
+    monkeypatch.setattr("symprod.quotient.relation_poly", lambda m: 2 * whole(m))
+    with pytest.raises(QuotientInvariantError, match="leading coefficient -2, not"):
+        normal_form(parse_poly("x1.x'1.y"), 1, 2)
 
 
 def test_mode_validation():
