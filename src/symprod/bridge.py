@@ -163,14 +163,16 @@ def bridge_degree(g: int, n: int, s: int) -> DegreeMatrix:
     monos = quotient_basis(g, n, s)
     tensor_basis = enumerate_basis(fmap.ring, n, degree=s)
     matrix = [fmap.coordinates(Polynomial.monomial(m), s) for m in monos]
-    square = len(matrix) == len(tensor_basis)
+    smith = lattice.smith(matrix) if matrix else []
+    # a square matrix is unimodular exactly when its Smith invariants are all 1
     return DegreeMatrix(
         degree=s,
         quotient_rank=len(monos),
         tensor_rank=len(tensor_basis),
         matrix=matrix,
-        unimodular=square and lattice.is_unimodular(matrix),
-        smith=lattice.smith(matrix) if matrix else [],
+        unimodular=(len(matrix) == len(tensor_basis)
+                    and all(d == 1 for d in smith)),
+        smith=smith,
     )
 
 

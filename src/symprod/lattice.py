@@ -3,6 +3,8 @@
 Matrices are plain lists of rows of Python ints, so all arithmetic is
 arbitrary precision.  Everything here uses naive exact pivoting, which is
 fine at the scale of a few thousand rows and a few hundred columns.
+The Hermite form keeps no unimodular transform: the canonical H is its
+only output, and every lattice question here is answered from it.
 """
 
 from __future__ import annotations
@@ -42,81 +44,67 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def hermite(m: Matrix) -> tuple[Matrix, Matrix]:
-    """Row Hermite normal form.
+def hermite(m: Matrix) -> Matrix:
+    """Row Hermite normal form H of m; its rows span the same lattice.
 
-    Returns (H, U) with U * m = H and U unimodular.  Convention: pivots
-    positive, entries above each pivot reduced into [0, pivot), zero rows
-    at the bottom.
+    Convention: pivots positive, entries above each pivot reduced into
+    [0, pivot), zero rows at the bottom.  The reduced form is unique for a
+    lattice, so H is canonical.
     """
     rows, cols = _check_rectangular(m)
     h = [row.copy() for row in m]
-    u = identity(rows)
     pivot_row = 0
     for col in range(cols):
         if pivot_row >= rows:
             break
         # Clear everything below pivot_row in this column with gcd steps.
-        src = None
-        for i in range(pivot_row, rows):
-            if h[i][col]:
-                src = i
-                break
+        src = next((i for i in range(pivot_row, rows) if h[i][col]), None)
         if src is None:
             continue
-        if src != pivot_row:
-            h[pivot_row], h[src] = h[src], h[pivot_row]
-            u[pivot_row], u[src] = u[src], u[pivot_row]
+        h[pivot_row], h[src] = h[src], h[pivot_row]
         for i in range(pivot_row + 1, rows):
             if not h[i][col]:
                 continue
             a, b = h[pivot_row][col], h[i][col]
             if b % a == 0:
-                q = b // a
-                _row_sub(h, u, i, pivot_row, q)
+                _row_sub(h, i, pivot_row, b // a, col)
             else:
                 g, x, y = xgcd(a, b)
-                _row_combine(h, u, pivot_row, i, x, y, a // g, b // g)
+                _row_combine(h, pivot_row, i, x, y, a // g, b // g, col)
         if h[pivot_row][col] < 0:
             h[pivot_row] = [-v for v in h[pivot_row]]
-            u[pivot_row] = [-v for v in u[pivot_row]]
         p = h[pivot_row][col]
         for j in range(pivot_row):
             q = h[j][col] // p
             if q:
-                _row_sub(h, u, j, pivot_row, q)
+                _row_sub(h, j, pivot_row, q, col)
         pivot_row += 1
-    return h, u
+    return h
 
 
-def _row_sub(h: Matrix, u: Matrix, i: int, j: int, q: int) -> None:
-    # row_i -= q * row_j, in both h and the transform u
+# Both row operations start at column `start`: every row they touch is
+# already zero to its left.
+
+def _row_sub(h: Matrix, i: int, j: int, q: int, start: int) -> None:
+    # row_i -= q * row_j
     hi, hj = h[i], h[j]
-    for k in range(len(hi)):
-        hi[k] -= q * hj[k]
-    ui, uj = u[i], u[j]
-    for k in range(len(ui)):
-        ui[k] -= q * uj[k]
+    hi[start:] = [a - q * b for a, b in zip(hi[start:], hj[start:])]
 
 
-def _row_combine(h: Matrix, u: Matrix, i: int, j: int, x: int, y: int,
-                 ag: int, bg: int) -> None:
+def _row_combine(h: Matrix, i: int, j: int, x: int, y: int,
+                 ag: int, bg: int, start: int) -> None:
     # (row_i, row_j) <- (x*row_i + y*row_j, -bg*row_i + ag*row_j)
     # determinant of this 2x2 operation is x*ag + y*bg = 1
-    for mat in (h, u):
-        ri, rj = mat[i], mat[j]
-        for k in range(len(ri)):
-            a, b = ri[k], rj[k]
-            ri[k] = x * a + y * b
-            rj[k] = -bg * a + ag * b
+    pairs = list(zip(h[i][start:], h[j][start:]))
+    h[i][start:] = [x * a + y * b for a, b in pairs]
+    h[j][start:] = [-bg * a + ag * b for a, b in pairs]
 
 
 def hermite_nonzero(m: Matrix) -> Matrix:
     """Nonzero rows of the Hermite form, the canonical basis of the row lattice."""
     if not m:
         return []
-    h, _ = hermite(m)
-    return [row for row in h if any(row)]
+    return [row for row in hermite(m) if any(row)]
 
 
 def rank(m: Matrix) -> int:
@@ -229,11 +217,6 @@ def determinant(m: Matrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1]
-
-
-def is_unimodular(m: Matrix) -> bool:
-    rows, cols = _check_rectangular(m)
-    return rows == cols and abs(determinant(m)) == 1
 
 
 def lattice_membership(v: list[int], generators: Matrix) -> bool:

@@ -331,8 +331,11 @@ def quotient_basis(g: int, n: int, s: int) -> list[Monomial]:
 # -- lattice views of the ideal --------------------------------------------
 
 def poly_vector(p: Polynomial, basis: list[Monomial]) -> list[int]:
-    pos = {m: i for i, m in enumerate(basis)}
-    vec = [0] * len(basis)
+    return _coordinates(p, {m: i for i, m in enumerate(basis)})
+
+
+def _coordinates(p: Polynomial, pos: dict[Monomial, int]) -> list[int]:
+    vec = [0] * len(pos)
     for m, c in p.terms.items():
         vec[pos[m]] = c
     return vec
@@ -341,16 +344,19 @@ def poly_vector(p: Polynomial, basis: list[Monomial]) -> list[int]:
 def ideal_degree_rows(gens: GeneratorSet, g: int, s: int) -> list[list[int]]:
     """Spanning rows of the degree-s piece of the ideal: every product of a
     generator by a monomial of the complementary degree."""
-    basis = monomials_of_degree(g, s)
+    pos = {m: i for i, m in enumerate(monomials_of_degree(g, s))}
+    multipliers: dict[int, list[Monomial]] = {}
     rows = []
     for poly in gens.polys:
         d = poly.degree()
         if d is None or d > s:
             continue
-        for m in monomials_of_degree(g, s - d):
+        if s - d not in multipliers:
+            multipliers[s - d] = monomials_of_degree(g, s - d)
+        for m in multipliers[s - d]:
             product = Polynomial.monomial(m) * poly
             if not product.is_zero():
-                rows.append(poly_vector(product, basis))
+                rows.append(_coordinates(product, pos))
     return rows
 
 

@@ -279,14 +279,6 @@ class Element:
         return "".join(bits)
 
 
-def validate(ring: Ring) -> ValidationReport:
-    return ring.validate()
-
-
-def is_integral(a: Element) -> bool:
-    return a.is_integral()
-
-
 # -- JSON ring-spec format ----------------------------------------------
 #
 # {"name": "...",

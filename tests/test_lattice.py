@@ -9,7 +9,6 @@ from symprod.lattice import (
     hermite_nonzero,
     identity,
     is_full_unit_lattice,
-    is_unimodular,
     lattice_equal,
     lattice_membership,
     rank,
@@ -23,6 +22,70 @@ def mat_mul(a, b):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
+def hermite_with_transform(m):
+    """Reference row Hermite form that also carries the transform.
+
+    Returns (H, U) with U * m = H and U unimodular, by the same elimination
+    as ``hermite`` applied to the augmented rows [m | I].
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    h = [row.copy() for row in m]
+    u = identity(rows)
+
+    def sub(i, j, q):
+        for mat in (h, u):
+            mat[i] = [a - q * b for a, b in zip(mat[i], mat[j])]
+
+    pivot_row = 0
+    for col in range(cols):
+        if pivot_row >= rows:
+            break
+        src = next((i for i in range(pivot_row, rows) if h[i][col]), None)
+        if src is None:
+            continue
+        for mat in (h, u):
+            mat[pivot_row], mat[src] = mat[src], mat[pivot_row]
+        for i in range(pivot_row + 1, rows):
+            if not h[i][col]:
+                continue
+            a, b = h[pivot_row][col], h[i][col]
+            if b % a == 0:
+                sub(i, pivot_row, b // a)
+            else:
+                g, x, y = xgcd(a, b)
+                ag, bg = a // g, b // g
+                for mat in (h, u):
+                    ri, rj = mat[pivot_row], mat[i]
+                    mat[pivot_row] = [x * p + y * q for p, q in zip(ri, rj)]
+                    mat[i] = [-bg * p + ag * q for p, q in zip(ri, rj)]
+        if h[pivot_row][col] < 0:
+            for mat in (h, u):
+                mat[pivot_row] = [-v for v in mat[pivot_row]]
+        p = h[pivot_row][col]
+        for j in range(pivot_row):
+            q = h[j][col] // p
+            if q:
+                sub(j, pivot_row, q)
+        pivot_row += 1
+    return h, u
+
+
+def assert_hermite_shape(h):
+    # pivots positive, entries above each pivot reduced into [0, pivot),
+    # zero rows at the bottom
+    seen_zero = False
+    for i, row in enumerate(h):
+        piv_col = next((j for j, e in enumerate(row) if e), None)
+        if piv_col is None:
+            seen_zero = True
+            continue
+        assert not seen_zero
+        assert row[piv_col] > 0
+        for above in range(i):
+            assert 0 <= h[above][piv_col] < row[piv_col]
+
+
 def test_xgcd():
     for a, b in [(0, 0), (4, 6), (-4, 6), (12, 0), (0, -7), (35, 21)]:
         g, x, y = xgcd(a, b)
@@ -33,37 +96,67 @@ def test_xgcd():
 
 
 def test_hermite_identity():
-    h, u = hermite(identity(3))
+    assert hermite(identity(3)) == identity(3)
+    h, u = hermite_with_transform(identity(3))
     assert h == identity(3)
     assert u == identity(3)
 
 
 def test_hermite_reduces_above_pivot():
     # [[2,1],[0,1]]: subtract the second row once from the first.
-    h, u = hermite([[2, 1], [0, 1]])
+    assert hermite([[2, 1], [0, 1]]) == [[2, 0], [0, 1]]
+    h, u = hermite_with_transform([[2, 1], [0, 1]])
     assert h == [[2, 0], [0, 1]]
     assert mat_mul(u, [[2, 1], [0, 1]]) == h
 
 
 def test_hermite_zero_matrix():
-    h, u = hermite([[0, 0], [0, 0]])
+    assert hermite([[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
+    h, u = hermite_with_transform([[0, 0], [0, 0]])
     assert h == [[0, 0], [0, 0]]
     assert u == identity(2)
 
 
 def test_hermite_transform_is_unimodular():
     m = [[6, 10, 15], [10, 15, 6], [15, 6, 10]]
-    h, u = hermite(m)
+    h = hermite(m)
+    ref_h, u = hermite_with_transform(m)
+    assert h == ref_h
     assert mat_mul(u, m) == h
     assert abs(determinant(u)) == 1
-    # pivots positive, entries above each pivot reduced into [0, pivot)
-    for i, row in enumerate(h):
-        piv_col = next((j for j, e in enumerate(row) if e), None)
-        if piv_col is None:
-            continue
-        assert row[piv_col] > 0
-        for above in range(i):
-            assert 0 <= h[above][piv_col] < row[piv_col]
+    assert_hermite_shape(h)
+
+
+def _random_matrices(rng):
+    yield []
+    yield [[]]
+    yield [[0] * 5 for _ in range(7)]
+    for _ in range(150):
+        # small dense matrices with mixed-sign entries
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        yield [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(150):
+        # tall, sparse, 1-2 bit entries, like the ideal rows
+        rows, cols = rng.randrange(2, 40), rng.randrange(2, 9)
+        m = [[0] * cols for _ in range(rows)]
+        for row in m:
+            for _ in range(rng.choice((0, 1, 2, 2, 3))):
+                row[rng.randrange(cols)] = rng.choice((-2, -1, 1, 2))
+        yield m
+
+
+def test_hermite_matches_transform_reference_random():
+    rng = random.Random(31337)
+    count = 0
+    for m in _random_matrices(rng):
+        h = hermite(m)
+        ref_h, u = hermite_with_transform(m)
+        assert h == ref_h
+        assert_hermite_shape(h)
+        if m and m[0]:
+            assert mat_mul(u, m) == h
+        count += 1
+    assert count == 303
 
 
 def test_smith_diag_2_3():
@@ -107,11 +200,18 @@ def test_determinant():
         determinant([[1, 2, 3], [4, 5, 6]])
 
 
-def test_is_unimodular():
-    # the genus-1, n=2 change-of-basis matrix
-    assert is_unimodular([[1, 0], [1, 1]])
-    assert not is_unimodular([[2, 0], [0, 1]])
-    assert not is_unimodular([[1, 0, 0], [0, 1, 0]])
+def test_unimodular_from_smith():
+    # square with every Smith invariant 1, as the bridge decides it; the
+    # genus-1, n=2 change-of-basis matrix is unimodular
+    assert smith([[1, 0], [1, 1]]) == [1, 1]
+    assert smith([[2, 0], [0, 1]]) == [1, 2]
+    # all invariants 1, but not square
+    assert smith([[1, 0, 0], [0, 1, 0]]) == [1, 1]
+    rng = random.Random(4242)
+    for _ in range(40):
+        n = rng.randrange(1, 5)
+        m = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+        assert all(d == 1 for d in smith(m)) == (abs(determinant(m)) == 1)
 
 
 def test_membership_basic():

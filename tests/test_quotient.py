@@ -277,6 +277,20 @@ def test_ideal_fills_high_degrees():
             assert ideal_fills_degree(g, n, s), (g, n, s)
 
 
+def test_ideal_degree_rows_work_counts_g4_n4():
+    # (row count, rank) per degree s = 0..8: the counts are deterministic,
+    # so a change that duplicates or drops spanning rows fails here
+    expected = {
+        "full": [(0, 0)] * 5 + [(56, 56), (398, 98), (1336, 120), (2898, 127)],
+        "minimal_even": [(0, 0)] * 5 + [(56, 56), (329, 98), (888, 120), (1517, 127)],
+    }
+    for mode, counts in expected.items():
+        gens = ideal_generators(4, 4, mode)
+        for s, (n_rows, rank) in enumerate(counts):
+            rows = ideal_degree_rows(gens, 4, s)
+            assert (len(rows), lattice.rank(rows)) == (n_rows, rank), (mode, s)
+
+
 def test_verify_minimality_g2_n2():
     report = verify_minimality(2, 2)
     assert report.case == "minimal_even"
