@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import lattice
 from .fixtures import surface_ring
@@ -24,7 +25,7 @@ from .quotient import (
     multiply_nf,
     quotient_basis,
 )
-from .rings import Ring
+from .rings import Ring, add_terms
 from .sympower import BasisIndex, IndexProduct, enumerate_basis
 from .tensors import TensorElement, sym_element, tensor_multiply
 
@@ -66,22 +67,18 @@ class SurfacePowerMap:
     tensor power of the genus-g surface ring.
 
     ``image`` and ``image_of_monomial`` build the image as a tensor, the
-    reference the tests compare against.  ``coordinates`` works in the
-    tensor-power basis instead: the image of a monomial is the chain of
-    integer kernel products of the spread classes chi[a_i], chi[a_{i+g}]
-    and chi[b] in the canonical written order.  Kernel products are
-    cached per map.
+    reference the tests compare against; the spread-class tensors ``xi``,
+    ``xi_prime`` and ``eta`` they use are built on first use.
+    ``coordinates`` works in the tensor-power basis instead: the image of a
+    monomial is the chain of integer kernel products of the spread classes
+    chi[a_i], chi[a_{i+g}] and chi[b] in the canonical written order.
+    Kernel products are cached per map.
     """
 
     def __init__(self, g: int, n: int, ring: Ring | None = None):
         self.g = g
         self.n = n
         self.ring = ring or surface_ring(g)
-        self.xi = {i: sym_element(self.ring, n, [self.ring.gen(f"a{i}")])
-                   for i in range(1, g + 1)}
-        self.xi_prime = {i: sym_element(self.ring, n, [self.ring.gen(f"a{i + g}")])
-                         for i in range(1, g + 1)}
-        self.eta = sym_element(self.ring, n, [self.ring.gen("b")])
         pos = self.ring.position
         self._xi_idx = {i: BasisIndex((pos[f"a{i}"],), (), n - 1)
                         for i in range(1, g + 1)}
@@ -92,6 +89,21 @@ class SurfacePowerMap:
         self._kernel = IndexProduct(self.ring)
         self._products: dict[tuple[BasisIndex, BasisIndex], dict[BasisIndex, int]] = {}
         self._positions: dict[int, dict[BasisIndex, int]] = {}
+
+    def _spread(self, name: str) -> TensorElement:
+        return sym_element(self.ring, self.n, [self.ring.gen(name)])
+
+    @cached_property
+    def xi(self) -> dict[int, TensorElement]:
+        return {i: self._spread(f"a{i}") for i in range(1, self.g + 1)}
+
+    @cached_property
+    def xi_prime(self) -> dict[int, TensorElement]:
+        return {i: self._spread(f"a{i + self.g}") for i in range(1, self.g + 1)}
+
+    @cached_property
+    def eta(self) -> TensorElement:
+        return self._spread("b")
 
     def image_of_monomial(self, m: Monomial) -> TensorElement:
         """Product of the generator images in the canonical written order."""
@@ -126,9 +138,8 @@ class SurfacePowerMap:
                 product = self._products.get((k, gen))
                 if product is None:
                     product = self._products[(k, gen)] = self._kernel(k, gen)
-                for idx, v in product.items():
-                    out[idx] = out.get(idx, 0) + c * v
-            vec = {idx: v for idx, v in out.items() if v}
+                add_terms(out, product.items(), c)
+            vec = out
         return vec
 
     def monomial_coordinates(self, m: Monomial) -> dict[BasisIndex, int]:
@@ -139,9 +150,8 @@ class SurfacePowerMap:
         """Basis coordinates of image(p); empty iff the image is zero."""
         out: dict[BasisIndex, int] = {}
         for m, c in p.terms.items():
-            for idx, v in self.monomial_coordinates(m).items():
-                out[idx] = out.get(idx, 0) + c * v
-        return {idx: v for idx, v in out.items() if v}
+            add_terms(out, self.monomial_coordinates(m).items(), c)
+        return out
 
     def coordinates(self, p: Polynomial, degree: int) -> list[int]:
         """Integer coordinates of the image in the tensor-power basis."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import lattice
+from .rings import add_terms
 
 
 class InvalidModeError(ValueError):
@@ -119,14 +120,7 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            v = terms.get(m, 0) + c
-            if v:
-                terms[m] = v
-            else:
-                terms.pop(m, None)
-        return Polynomial(terms)
+        return Polynomial(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -143,15 +137,9 @@ class Polynomial:
         out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                hit = monomial_mul(m1, m2)
-                if hit is None:
-                    continue
-                m, sign = hit
-                v = out.get(m, 0) + sign * c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
+                hit = monomial_mul(m1, m2)  # (product, sign) or None
+                if hit:
+                    add_terms(out, (hit,), c1 * c2)
         return Polynomial(out)
 
     def is_zero(self) -> bool:
@@ -280,22 +268,17 @@ def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
                     target = m
         if target is None:
             break
-        coeff = work.pop(target)
         if target.abcq[2] == 0:
+            del work[target]
             continue
         rel = relation_poly(target)
         eps = rel.terms.get(target, 0)
         if eps not in (1, -1):
             raise QuotientInvariantError(
                 f"relation of {target.word()} has leading coefficient {eps}, not +-1")
-        for m, c in rel.terms.items():
-            if m == target:
-                continue
-            v = work.get(m, 0) - coeff * eps * c
-            if v:
-                work[m] = v
-            else:
-                work.pop(m, None)
+        # the relation's target term is eps * target and eps * eps == 1,
+        # so the target cancels itself
+        add_terms(work, rel.terms.items(), -work[target] * eps)
     return Polynomial(work)
 
 

@@ -14,6 +14,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def add_terms(acc: dict, pairs, scale=1) -> dict:
+    """Add scale * v into acc[k] for each (k, v) of pairs, in place.
+
+    A key whose sum reaches zero is deleted, so acc holds nonzero values
+    only; a key added again after cancelling goes to the end.  Returns acc.
+    """
+    for k, v in pairs:
+        v = acc.get(k, 0) + scale * v
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+    return acc
+
+
 class RingSpecError(ValueError):
     """Malformed ring description (bad JSON field, unknown generator, ...)."""
 
@@ -159,13 +174,7 @@ class Ring:
         terms: dict[int, Fraction] = {}
         for i, ca in a.terms.items():
             for j, cb in b.terms.items():
-                c = ca * cb
-                for k, s in self.gen_product(i, j).items():
-                    v = terms.get(k, Fraction(0)) + c * s
-                    if v:
-                        terms[k] = v
-                    else:
-                        terms.pop(k, None)
+                add_terms(terms, self.gen_product(i, j).items(), ca * cb)
         return Element(self, terms)
 
     # -- validation ----------------------------------------------------
@@ -234,14 +243,7 @@ class Element:
         return hash((id(self.ring), tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            w = terms.get(k, Fraction(0)) + v
-            if w:
-                terms[k] = w
-            else:
-                terms.pop(k, None)
-        return Element(self.ring, terms)
+        return Element(self.ring, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other

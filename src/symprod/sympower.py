@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .rings import Ring
+from .rings import Ring, add_terms
 from .tensors import (
     TensorElement,
     has_repeated_odd,
     signed_arrangements,
     sorted_slots_with_sign,
+    sym_element,
 )
 
 
@@ -208,12 +209,8 @@ def expand(t: TensorElement) -> dict[BasisIndex, Fraction]:
         idx = index_from_sorted_slots(ring, least)
         coeff = work[least] / idx.leading_multiplier
         out[idx] = coeff
-        for arr, sign in signed_arrangements(ring, least):
-            v = work.get(arr, Fraction(0)) - coeff * idx.leading_multiplier * sign
-            if v:
-                work[arr] = v
-            else:
-                work.pop(arr, None)
+        add_terms(work, signed_arrangements(ring, least),
+                  -coeff * idx.leading_multiplier)
         if least in work:
             raise InternalInconsistencyError("leading term failed to cancel")
     return out
@@ -241,7 +238,6 @@ def chi(ring: Ring, n: int, odds, evens) -> TensorElement:
     The factors may be arbitrary ring elements; for basis generators with
     strictly increasing odd positions this reproduces realize().
     """
-    from .tensors import sym_element
     return sym_element(ring, n, list(odds) + list(evens))
 
 

@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .rings import Element, Ring
+from .rings import Element, Ring, add_terms
 
 
 class ArityError(ValueError):
@@ -105,14 +105,8 @@ class TensorElement:
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         self._require_compatible(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            w = terms.get(k, Fraction(0)) + v
-            if w:
-                terms[k] = w
-            else:
-                terms.pop(k, None)
-        return TensorElement(self.ring, self.n, terms)
+        return TensorElement(self.ring, self.n,
+                             add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -187,13 +181,8 @@ def act(sigma: Perm, t: TensorElement) -> TensorElement:
         odd = [p for p in range(t.n) if ring.slot_degree(slots[p]) % 2]
         flips = sum(1 for a in range(len(odd)) for b in range(a + 1, len(odd))
                     if inv[odd[a]] > inv[odd[b]])
-        sign = -1 if flips % 2 else 1
         new_slots = tuple(slots[sigma(i)] for i in range(t.n))
-        v = out.get(new_slots, Fraction(0)) + sign * coeff
-        if v:
-            out[new_slots] = v
-        else:
-            out.pop(new_slots, None)
+        add_terms(out, [(new_slots, -1 if flips % 2 else 1)], coeff)
     return TensorElement(ring, t.n, out)
 
 
@@ -211,7 +200,7 @@ def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
                         if ring.slot_degree(b_slots[i]) % 2)
             base = a_coeff * b_coeff * (-1 if flips % 2 else 1)
             # expand the slotwise products of generators
-            partial: list[tuple[tuple[int, ...], Fraction]] = [((), base)]
+            partial: list[tuple[tuple[int, ...], int]] = [((), 1)]
             for i in range(n):
                 combo = ring.gen_product(a_slots[i], b_slots[i])
                 if not combo:
@@ -219,12 +208,7 @@ def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
                     break
                 partial = [(pref + (k,), c * v)
                            for pref, c in partial for k, v in combo.items()]
-            for slots, coeff in partial:
-                v = out.get(slots, Fraction(0)) + coeff
-                if v:
-                    out[slots] = v
-                else:
-                    out.pop(slots, None)
+            add_terms(out, partial, base)
     return TensorElement(ring, n, out)
 
 
@@ -251,10 +235,27 @@ def sorted_slots_with_sign(ring: Ring, slots: tuple[int, ...]) -> tuple[tuple[in
 
 def signed_arrangements(ring: Ring, sorted_slots: tuple[int, ...]):
     """All distinct orderings of a slot multiset with their Koszul signs
-    relative to the ascending order.  Requires distinct odd entries."""
-    for arr in sorted(set(itertools.permutations(sorted_slots))):
-        _, sign = sorted_slots_with_sign(ring, arr)
-        yield arr, sign
+    relative to the ascending order.  Requires distinct odd entries.
+
+    The orderings come in ascending order, one next-permutation step each,
+    so a multiset with k distinct orderings costs k steps, not n!.
+    """
+    arr = sorted(sorted_slots)
+    while True:
+        slots = tuple(arr)
+        yield slots, sorted_slots_with_sign(ring, slots)[1]
+        # the rightmost ascent arr[i] < arr[i + 1]; none left means the
+        # ordering is descending, the last one
+        i = len(arr) - 2
+        while i >= 0 and arr[i] >= arr[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(arr) - 1
+        while arr[j] <= arr[i]:
+            j -= 1
+        arr[i], arr[j] = arr[j], arr[i]
+        arr[i + 1:] = reversed(arr[i + 1:])
 
 
 def stabilizer_order(ring: Ring, sorted_slots: tuple[int, ...]) -> int:
@@ -288,12 +289,7 @@ def symmetrize(t: TensorElement) -> TensorElement:
         if has_repeated_odd(ring, base):
             continue
         weight = coeff * base_sign * Fraction(stabilizer_order(ring, base), n_fact)
-        for arr, sign in signed_arrangements(ring, base):
-            v = out.get(arr, Fraction(0)) + weight * sign
-            if v:
-                out[arr] = v
-            else:
-                out.pop(arr, None)
+        add_terms(out, signed_arrangements(ring, base), weight)
     return TensorElement(ring, n, out)
 
 

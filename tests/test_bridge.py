@@ -87,3 +87,14 @@ def test_pool_size_clamps_to_tasks_and_cpus():
     assert pool_size(10**9, 10**9, None) == 1
     assert pool_size(0, 9, 8) == 1
     assert pool_size(-5, 9, 8) == 1
+
+
+def test_bridge_paths_build_no_oracle_tensors(monkeypatch):
+    # xi, xi_prime and eta are built on first use, and only the oracle
+    # image reads them; the kernel paths must never build one
+    def refuse(*args, **kwargs):
+        raise AssertionError("spread-class tensor built")
+
+    monkeypatch.setattr("symprod.bridge.sym_element", refuse)
+    assert check_isomorphism(2, 3).verdict == "isomorphism"
+    assert multiplicativity_spot_check(2, 3, samples=10, seed=5)

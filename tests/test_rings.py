@@ -9,6 +9,7 @@ from symprod.rings import (
     MalformedElementError,
     Ring,
     RingSpecError,
+    add_terms,
     ring_from_dict,
     ring_to_dict,
 )
@@ -170,3 +171,39 @@ def test_parser_rejects_unknown_generator():
 def test_parser_rejects_degree_zero():
     with pytest.raises(RingSpecError, match="degree"):
         ring_from_dict({"generators": [{"name": "e", "degree": 0}]})
+
+
+def test_add_terms_deletes_a_cancelled_key():
+    acc = {"x": 2, "y": 1}
+    add_terms(acc, [("x", -2), ("z", 3)])
+    assert acc == {"y": 1, "z": 3}
+
+
+def test_add_terms_re_added_key_goes_to_the_end():
+    acc = {"x": 1, "y": 1}
+    add_terms(acc, [("x", -1), ("x", 4)])
+    assert list(acc.items()) == [("y", 1), ("x", 4)]
+
+
+def test_add_terms_scale_multiplies_each_value():
+    acc = {"x": 1}
+    add_terms(acc, {"x": 2, "y": -3}.items(), scale=-2)
+    assert acc == {"x": -3, "y": 6}
+    assert add_terms({"x": 6}, [("x", 3)], scale=-2) == {}
+
+
+def test_add_terms_fraction_and_int_values():
+    acc = {"x": Fraction(1, 2)}
+    add_terms(acc, [("x", Fraction(1, 2)), ("y", 2)], scale=Fraction(1, 3))
+    assert acc == {"x": Fraction(2, 3), "y": Fraction(2, 3)}
+    assert all(isinstance(v, Fraction) for v in acc.values())
+    ints = add_terms({}, [("x", 2), ("x", 3)])
+    assert ints == {"x": 5} and type(ints["x"]) is int
+    add_terms(acc, [("x", -2), ("y", -2)], scale=Fraction(1, 3))
+    assert acc == {}
+
+
+def test_add_terms_returns_the_same_dict():
+    acc = {}
+    assert add_terms(acc, [("x", 1)]) is acc
+    assert add_terms(acc, []) is acc

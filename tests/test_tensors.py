@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -11,6 +12,8 @@ from symprod.tensors import (
     TensorElement,
     act,
     elementary,
+    signed_arrangements,
+    sorted_slots_with_sign,
     sym_element,
     symmetrize,
     tensor_multiply,
@@ -197,3 +200,23 @@ def test_unit_tensor_is_multiplicative_identity(torus):
     t = elementary(torus, ["a1", "b", None]) + 5 * elementary(torus, ["a2", None, None])
     assert tensor_multiply(one, t) == t
     assert tensor_multiply(t, one) == t
+
+
+def test_signed_arrangements_match_distinct_permutations():
+    ring = fixtures.surface_ring(2)
+    slots = range(ring.unit_slot + 1)
+    rng = random.Random(2718)
+    for _ in range(200):
+        multiset = tuple(sorted(rng.choice(slots) for _ in range(rng.randint(0, 6))))
+        want = [(arr, sorted_slots_with_sign(ring, arr)[1])
+                for arr in sorted(set(itertools.permutations(multiset)))]
+        assert list(signed_arrangements(ring, multiset)) == want
+
+
+def test_signed_arrangements_cost_the_orbit_not_the_group(sphere):
+    # (b, 1^13): 14 arrangements out of 14! permutations
+    b, one = sphere.position["b"], sphere.unit_slot
+    arrangements = list(signed_arrangements(sphere, (b,) + (one,) * 13))
+    assert len(arrangements) == 14
+    assert [arr.index(b) for arr, _ in arrangements] == list(range(14))
+    assert {sign for _, sign in arrangements} == {1}
