@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nf", help="normal form modulo the relation ideal")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("poly")
+    p.add_argument("poly", nargs="?")  # optional here; `main` finds or demands it
     common(p)
     p.set_defaults(func=cmd_nf)
 
@@ -273,7 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if args.command == "nf" and args.poly is None:
+        # argparse files a word with a leading '-', such as "-x1.x'1.y",
+        # under unknown options; for nf that word is the polynomial
+        if not extras:
+            parser.error("nf: the following arguments are required: poly")
+        args.poly = extras.pop(0)
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (RingSpecError, quotient.PolyParseError, FileNotFoundError,

@@ -1,13 +1,23 @@
 """Exact integer matrix algebra: Hermite and Smith normal forms, lattices.
 
 Matrices are plain lists of rows of Python ints, so all arithmetic is
-arbitrary precision.  Everything here uses naive exact pivoting, which is
-fine at the scale of a few thousand rows and a few hundred columns.
-The Hermite form keeps no unimodular transform: the canonical H is its
-only output, and every lattice question here is answered from it.
+arbitrary precision.  The Hermite form works on sparse rows: it inserts
+the rows one at a time into a table of pivot rows keyed by leading column
+(row insertion as in Kannan and Bachem, 1979), then reduces above the
+pivots.  It keeps no unimodular transform: the canonical H is its only
+output, and every lattice question here is answered from it.  The ideal
+matrices it certifies have tens of thousands of rows with a handful of
++-1/+-2 entries each, and their Hermite forms have no entry wider than
+2 bits, so exact integers need no modular arithmetic at this scale.
+Smith form and determinant pivot densely; they see only the small square
+bridge matrices and Hermite bases with at most `cols` rows.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+
+from .rings import add_terms
 
 Matrix = list[list[int]]
 
@@ -52,59 +62,55 @@ def hermite(m: Matrix) -> Matrix:
     lattice, so H is canonical.
     """
     rows, cols = _check_rectangular(m)
-    h = [row.copy() for row in m]
-    pivot_row = 0
-    for col in range(cols):
-        if pivot_row >= rows:
-            break
-        # Clear everything below pivot_row in this column with gcd steps.
-        src = next((i for i in range(pivot_row, rows) if h[i][col]), None)
-        if src is None:
-            continue
-        h[pivot_row], h[src] = h[src], h[pivot_row]
-        for i in range(pivot_row + 1, rows):
-            if not h[i][col]:
-                continue
-            a, b = h[pivot_row][col], h[i][col]
-            if b % a == 0:
-                _row_sub(h, i, pivot_row, b // a, col)
-            else:
-                g, x, y = xgcd(a, b)
-                _row_combine(h, pivot_row, i, x, y, a // g, b // g, col)
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-v for v in h[pivot_row]]
-        p = h[pivot_row][col]
-        for j in range(pivot_row):
-            q = h[j][col] // p
-            if q:
-                _row_sub(h, j, pivot_row, q, col)
-        pivot_row += 1
-    return h
-
-
-# Both row operations start at column `start`: every row they touch is
-# already zero to its left.
-
-def _row_sub(h: Matrix, i: int, j: int, q: int, start: int) -> None:
-    # row_i -= q * row_j
-    hi, hj = h[i], h[j]
-    hi[start:] = [a - q * b for a, b in zip(hi[start:], hj[start:])]
-
-
-def _row_combine(h: Matrix, i: int, j: int, x: int, y: int,
-                 ag: int, bg: int, start: int) -> None:
-    # (row_i, row_j) <- (x*row_i + y*row_j, -bg*row_i + ag*row_j)
-    # determinant of this 2x2 operation is x*ag + y*bg = 1
-    pairs = list(zip(h[i][start:], h[j][start:]))
-    h[i][start:] = [x * a + y * b for a, b in pairs]
-    h[j][start:] = [-bg * a + ag * b for a, b in pairs]
+    h = hermite_nonzero(m)
+    return h + [[0] * cols for _ in range(rows - len(h))]
 
 
 def hermite_nonzero(m: Matrix) -> Matrix:
     """Nonzero rows of the Hermite form, the canonical basis of the row lattice."""
-    if not m:
-        return []
-    return [row for row in hermite(m) if any(row)]
+    _, cols = _check_rectangular(m)
+    # Rows are sparse {col: value} dicts while they are worked on.  Each
+    # row is inserted into a table of pivot rows keyed by leading column:
+    # a row whose leading column is free takes it; otherwise the pivot
+    # clears that entry (an exact division, or a unimodular gcd step that
+    # replaces the pivot) and the row goes on from its next nonzero column.
+    pivots: dict[int, dict[int, int]] = {}
+    for dense in m:
+        row = {j: dense[j] for j in compress(range(cols), dense)}
+        while row:
+            col = min(row)
+            p = pivots.get(col)
+            if p is None:
+                pivots[col] = row
+                break
+            a, b = p[col], row[col]
+            if b % a == 0:
+                add_terms(row, p.items(), -(b // a))
+            else:
+                g, x, y = xgcd(a, b)
+                # (p, row) <- (x*p + y*row, -(b/g)*p + (a/g)*row); the 2x2
+                # operation has determinant 1 and clears row's entry
+                pivots[col] = add_terms(add_terms({}, p.items(), x), row.items(), y)
+                row = add_terms(add_terms({}, p.items(), -(b // g)), row.items(), a // g)
+    # Positive pivots, then reduce the entries above each pivot, in
+    # increasing column order so a later step never disturbs an earlier one.
+    done: list[dict[int, int]] = []
+    for col in sorted(pivots):
+        p = pivots[col]
+        if p[col] < 0:
+            p = {j: -v for j, v in p.items()}
+        for above in done:
+            q = above.get(col, 0) // p[col]
+            if q:
+                add_terms(above, p.items(), -q)
+        done.append(p)
+    out = []
+    for p in done:
+        dense = [0] * cols
+        for j, v in p.items():
+            dense[j] = v
+        out.append(dense)
+    return out
 
 
 def rank(m: Matrix) -> int:

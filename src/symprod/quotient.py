@@ -314,32 +314,64 @@ def quotient_basis(g: int, n: int, s: int) -> list[Monomial]:
 # -- lattice views of the ideal --------------------------------------------
 
 def poly_vector(p: Polynomial, basis: list[Monomial]) -> list[int]:
-    return _coordinates(p, {m: i for i, m in enumerate(basis)})
-
-
-def _coordinates(p: Polynomial, pos: dict[Monomial, int]) -> list[int]:
-    vec = [0] * len(pos)
+    pos = {m: i for i, m in enumerate(basis)}
+    vec = [0] * len(basis)
     for m, c in p.terms.items():
         vec[pos[m]] = c
     return vec
 
 
+def _mask(m: Monomial, g: int) -> int:
+    # bit i-1 for x_i, bit g+j-1 for x'_j: bit order is the global variable
+    # order, and within one degree the mask fixes the y-exponent too
+    return sum(1 << (i - 1) for i in m.xs) | sum(1 << (g + j - 1) for j in m.xp)
+
+
+def _below(mask: int) -> int:
+    # XOR over the set bits u of mask of the bits below u; the parity of
+    # popcount(t & _below(mask)) is the parity of the pairs (u in mask,
+    # v in t) with u > v, the exterior sign of mask * t
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= low - 1
+        mask ^= low
+    return out
+
+
 def ideal_degree_rows(gens: GeneratorSet, g: int, s: int) -> list[list[int]]:
     """Spanning rows of the degree-s piece of the ideal: every product of a
-    generator by a monomial of the complementary degree."""
-    pos = {m: i for i, m in enumerate(monomials_of_degree(g, s))}
-    multipliers: dict[int, list[Monomial]] = {}
+    generator by a monomial of the complementary degree, in generator order
+    then multiplier order, columns in `monomials_of_degree(g, s)` order.
+
+    Monomials are integer masks (see `_mask`): a product is zero when the
+    masks overlap, and its sign is one popcount against `_below` of the
+    multiplier.  A generator's distinct terms stay distinct after the
+    multiplication, so each one is written straight into its column.
+    """
+    pos = {_mask(m, g): i for i, m in enumerate(monomials_of_degree(g, s))}
+    multipliers: dict[int, list[tuple[int, int]]] = {}
     rows = []
     for poly in gens.polys:
         d = poly.degree()
         if d is None or d > s:
             continue
+        if poly.max_index() > g:
+            raise ValueError(f"variable index exceeds g={g}")
         if s - d not in multipliers:
-            multipliers[s - d] = monomials_of_degree(g, s - d)
-        for m in multipliers[s - d]:
-            product = Polynomial.monomial(m) * poly
-            if not product.is_zero():
-                rows.append(_coordinates(product, pos))
+            masks = [_mask(m, g) for m in monomials_of_degree(g, s - d)]
+            multipliers[s - d] = [(mask, _below(mask)) for mask in masks]
+        terms = [(_mask(t, g), c) for t, c in poly.terms.items()]
+        for mask, below in multipliers[s - d]:
+            row = None
+            for t, c in terms:
+                if mask & t:
+                    continue
+                if row is None:
+                    row = [0] * len(pos)
+                row[pos[mask | t]] = -c if (t & below).bit_count() & 1 else c
+            if row is not None:
+                rows.append(row)
     return rows
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from symprod.cli import main
 from symprod.fixtures import packaged_fixture_dir
 from symprod.rings import ring_from_dict
@@ -23,6 +25,25 @@ def test_nf_example(capsys):
     code, out, _ = run(capsys, "nf", "--g", "1", "--n", "2", "x1.x'1.y")
     assert code == 0
     assert out.strip() == "+1*y^2"
+
+
+def test_nf_leading_minus_without_dashes(capsys):
+    poly = "-x1.x'1.y"
+    code, out, _ = run(capsys, "nf", "--g", "2", "--n", "2", poly)
+    assert (code, out.strip()) == (0, "-1*y^2")
+    dashed = run(capsys, "nf", "--g", "2", "--n", "2", "--format", "json", "--", poly)
+    assert dashed[0] == 0 and json.loads(dashed[1])["input"] == poly
+    for argv in (["--g", "2", "--n", "2", poly, "--format", "json"],
+                 [poly, "--g", "2", "--n", "2", "--format", "json"]):
+        assert run(capsys, "nf", *argv) == dashed
+
+
+def test_nf_missing_or_extra_poly_exit_code(capsys):
+    for argv in (["--g", "2", "--n", "2"], ["--g", "2", "--n", "2", "-x1", "-x2"],
+                 ["--g", "2", "--n", "2", "x1", "-x2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["nf", *argv])
+        assert exc.value.code == 2, argv
 
 
 def test_sym_basis_sphere(capsys):

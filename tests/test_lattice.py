@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from symprod import lattice
 from symprod.lattice import (
     DimensionError,
     determinant,
@@ -15,6 +16,7 @@ from symprod.lattice import (
     smith,
     xgcd,
 )
+from symprod.quotient import ideal_degree_rows, ideal_generators
 
 
 def mat_mul(a, b):
@@ -157,6 +159,71 @@ def test_hermite_matches_transform_reference_random():
             assert mat_mul(u, m) == h
         count += 1
     assert count == 303
+
+
+def test_hermite_matches_transform_reference_on_ideal_matrices():
+    # the spanning rows `verify` certifies, every degree up to 2n+2
+    cases = [(2, 3, "full"), (2, 3, "stable"), (3, 3, "full"), (3, 3, "minimal_odd"),
+             (3, 4, "full"), (3, 4, "minimal_even")]
+    for g, n, mode in cases:
+        gens = ideal_generators(g, n, mode)
+        for s in range(2 * n + 3):
+            m = ideal_degree_rows(gens, g, s)
+            assert hermite(m) == hermite_with_transform(m)[0], (g, n, mode, s)
+
+
+def _gcd_and_sign_matrices(rng):
+    # leading entries that do not divide each other force the gcd step;
+    # a pivot column whose rows all lead negative forces the sign flip
+    yield [[2, 1], [3, 0]]
+    yield [[-3, 1]]
+    yield [[0, -2, 4], [0, 0, 0], [0, -2, 4], [0, -3, 5]]
+    for _ in range(300):
+        rows, cols = rng.randrange(1, 10), rng.randrange(1, 7)
+        m = [[rng.randrange(-9, 10) if rng.random() < 0.6 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        for row in m:
+            lead = next((j for j, v in enumerate(row) if v), None)
+            if lead is not None and rng.random() < 0.5:
+                row[lead] = -abs(row[lead])
+        m.append(list(rng.choice(m)))
+        m.insert(rng.randrange(len(m) + 1), [0] * cols)
+        yield m
+
+
+def test_hermite_matches_transform_reference_gcd_and_sign(monkeypatch):
+    calls = []
+
+    def counting_xgcd(a, b):
+        calls.append((a, b))
+        return xgcd(a, b)
+
+    monkeypatch.setattr(lattice, "xgcd", counting_xgcd)
+    rng = random.Random(271828)
+    flips = 0
+    for m in _gcd_and_sign_matrices(rng):
+        h = hermite(m)
+        ref_h, u = hermite_with_transform(m)
+        assert h == ref_h, m
+        assert_hermite_shape(h)
+        assert mat_mul(u, m) == h
+        assert hermite_nonzero(m) == [row for row in h if any(row)]
+        # one negative value down column 0: it stays the pivot until the flip
+        flips += len({row[0] for row in m} - {0}) == 1 and min(row[0] for row in m) < 0
+    assert len(calls) > 100
+    assert flips > 10
+
+
+def test_hermite_shapes_and_ragged_input():
+    assert hermite([]) == [] and hermite_nonzero([]) == []
+    assert hermite([[]]) == [[]] and hermite_nonzero([[]]) == []
+    assert hermite([[], []]) == [[], []]
+    assert hermite([[0, 1], [0, 0], [0, 2]]) == [[0, 1], [0, 0], [0, 0]]
+    for ragged in ([[1, 2], [3]], [[1], []], [[], [0]]):
+        with pytest.raises(DimensionError):
+            hermite(ragged)
+        with pytest.raises(DimensionError):
+            hermite_nonzero(ragged)
 
 
 def test_smith_diag_2_3():

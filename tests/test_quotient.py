@@ -277,6 +277,91 @@ def test_ideal_fills_high_degrees():
             assert ideal_fills_degree(g, n, s), (g, n, s)
 
 
+def reference_rows_by_generator(polys, g, s):
+    """Per generator, its degree-s spanning rows through the general
+    `Polynomial` product: the generator times each monomial of the
+    complementary degree, zero products dropped, columns in
+    `monomials_of_degree(g, s)` order."""
+    pos = {m: i for i, m in enumerate(monomials_of_degree(g, s))}
+    multipliers = {}
+    out = []
+    for poly in polys:
+        rows = []
+        d = poly.degree()
+        if d is not None and d <= s:
+            if s - d not in multipliers:
+                multipliers[s - d] = [Polynomial.monomial(m)
+                                      for m in monomials_of_degree(g, s - d)]
+            for factor in multipliers[s - d]:
+                product = factor * poly
+                if not product.is_zero():
+                    row = [0] * len(pos)
+                    for mm, c in product.terms.items():
+                        row[pos[mm]] = c
+                    rows.append(row)
+        out.append(rows)
+    return out
+
+
+def ideal_degree_rows_reference(gens, g, s):
+    """Reference `ideal_degree_rows`: the rows of each generator in turn."""
+    return [row for rows in reference_rows_by_generator(gens.polys, g, s) for row in rows]
+
+
+def valid_modes(g, n):
+    modes = ["full"]
+    if n >= 2 * g - 1:
+        modes.append("stable")
+    if 2 <= n <= 2 * g - 2:
+        modes.append("minimal_odd" if n % 2 else "minimal_even")
+    return modes
+
+
+def test_ideal_degree_rows_match_reference():
+    # every valid mode's generators are full-mode generators, so the
+    # reference runs once per full generator and degree, and a mode's
+    # expected rows are its generators' rows in generator order
+    cases = 0
+    for g in range(1, 5):
+        for n in range(2, 6):
+            full = ideal_generators(g, n, "full")
+            by_degree = [dict(zip(full.monomials, reference_rows_by_generator(full.polys, g, s)))
+                         for s in range(2 * n + 3)]
+            full_polys = dict(zip(full.monomials, full.polys))
+            for mode in valid_modes(g, n):
+                gens = ideal_generators(g, n, mode)
+                assert all(full_polys[m] == p for m, p in zip(gens.monomials, gens.polys))
+                for s, rows_of in enumerate(by_degree):
+                    expected = [row for m in gens.monomials for row in rows_of[m]]
+                    assert ideal_degree_rows(gens, g, s) == expected, (g, n, mode, s)
+                    cases += 1
+    assert cases == 320
+
+
+def test_ideal_degree_rows_match_reference_random_polys():
+    # generators beyond the relation polynomials: mixed signs, unpaired
+    # variables in any order, y powers, and a non-homogeneous one (skipped)
+    rng = random.Random(77)
+    g = 3
+    for _ in range(20):
+        polys = []
+        for _ in range(rng.randrange(1, 4)):
+            d = rng.randrange(0, 5)
+            pool = monomials_of_degree(g, d)
+            polys.append(Polynomial({rng.choice(pool): rng.choice((-3, -1, 1, 2))
+                                     for _ in range(rng.randrange(1, 5))}))
+        polys.append(parse_poly("x1 + 2*x'2.y", g=g))
+        gens = GeneratorSet("random", [], polys)
+        for s in range(8):
+            assert ideal_degree_rows(gens, g, s) == ideal_degree_rows_reference(gens, g, s)
+
+
+def test_ideal_degree_rows_rejects_foreign_index():
+    gens = GeneratorSet("foreign", [], [parse_poly("x3.x'1")])
+    with pytest.raises(ValueError):
+        ideal_degree_rows(gens, 2, 3)
+
+
 def test_ideal_degree_rows_work_counts_g4_n4():
     # (row count, rank) per degree s = 0..8: the counts are deterministic,
     # so a change that duplicates or drops spanning rows fails here
