@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import lattice
 from .fixtures import surface_ring
@@ -72,7 +72,8 @@ class SurfacePowerMap:
     ``coordinates`` works in the tensor-power basis instead: the image of a
     monomial is the chain of integer kernel products of the spread classes
     chi[a_i], chi[a_{i+g}] and chi[b] in the canonical written order.
-    Kernel products are cached per map.
+    Kernel products are cached per map, and the tensor-power basis is
+    enumerated once per map and grouped by degree.
     """
 
     def __init__(self, g: int, n: int, ring: Ring | None = None):
@@ -88,7 +89,6 @@ class SurfacePowerMap:
         self._unit_idx = BasisIndex((), (), n)
         self._kernel = IndexProduct(self.ring)
         self._products: dict[tuple[BasisIndex, BasisIndex], dict[BasisIndex, int]] = {}
-        self._positions: dict[int, dict[BasisIndex, int]] = {}
 
     def _spread(self, name: str) -> TensorElement:
         return sym_element(self.ring, self.n, [self.ring.gen(name)])
@@ -153,34 +153,50 @@ class SurfacePowerMap:
             add_terms(out, self.monomial_coordinates(m).items(), c)
         return out
 
+    @cached_property
+    def positions(self) -> dict[int, dict[BasisIndex, int]]:
+        """Degree -> {basis index: its place in that degree's basis}."""
+        out: dict[int, dict[BasisIndex, int]] = {}
+        # enumerate_basis sorts by degree first, so each degree's indices
+        # come in the order enumerate_basis(..., degree=s) gives them
+        for idx in enumerate_basis(self.ring, self.n):
+            pos = out.setdefault(idx.degree(self.ring), {})
+            pos[idx] = len(pos)
+        return out
+
     def coordinates(self, p: Polynomial, degree: int) -> list[int]:
         """Integer coordinates of the image in the tensor-power basis."""
-        pos = self._positions.get(degree)
-        if pos is None:
-            basis = enumerate_basis(self.ring, self.n, degree=degree)
-            pos = self._positions[degree] = {idx: k for k, idx in enumerate(basis)}
+        pos = self.positions.get(degree, {})
         vec = [0] * len(pos)
         for idx, c in self.polynomial_coordinates(p).items():
             vec[pos[idx]] = c
         return vec
 
 
+@lru_cache(maxsize=1)
+def surface_power_map(g: int, n: int) -> SurfacePowerMap:
+    """The map of a run: every degree, the relation check and the spot
+    check at (g, n) share its product cache and its basis.  A process
+    (each ``--jobs`` worker too) keeps the last one it built."""
+    return SurfacePowerMap(g, n)
+
+
 def bridge_degree(g: int, n: int, s: int) -> DegreeMatrix:
     """The degree-s change-of-basis matrix; degrees are independent jobs."""
     if s == 0:
         return DegreeMatrix(0, 1, 1, [[1]], True, [1])
-    fmap = SurfacePowerMap(g, n)
+    fmap = surface_power_map(g, n)
     monos = quotient_basis(g, n, s)
-    tensor_basis = enumerate_basis(fmap.ring, n, degree=s)
+    tensor_rank = len(fmap.positions.get(s, {}))
     matrix = [fmap.coordinates(Polynomial.monomial(m), s) for m in monos]
     smith = lattice.smith(matrix) if matrix else []
     # a square matrix is unimodular exactly when its Smith invariants are all 1
     return DegreeMatrix(
         degree=s,
         quotient_rank=len(monos),
-        tensor_rank=len(tensor_basis),
+        tensor_rank=tensor_rank,
         matrix=matrix,
-        unimodular=(len(matrix) == len(tensor_basis)
+        unimodular=(len(matrix) == tensor_rank
                     and all(d == 1 for d in smith)),
         smith=smith,
     )
@@ -203,6 +219,11 @@ def check_isomorphism(g: int, n: int, mode: str = "full",
     which case the report is only partial).  Also checks that the chosen
     generating set of the relation ideal maps to zero.
     """
+    if g < 1 or n < 2:
+        raise ValueError(f"need g >= 1 and n >= 2, got g={g}, n={n}")
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"need max_degree >= 0, got max_degree={max_degree}")
+    relations = ideal_generators(g, n, mode).polys
     top = 2 * n if max_degree is None else min(max_degree, 2 * n)
     report = BridgeReport(g, n, mode, max_degree=top)
     degrees = list(range(top + 1))
@@ -215,10 +236,9 @@ def check_isomorphism(g: int, n: int, mode: str = "full",
         report.degrees.extend(sorted(results, key=lambda d: d.degree))
     else:
         report.degrees.extend(bridge_degree(g, n, s) for s in degrees)
-    fmap = SurfacePowerMap(g, n)
+    fmap = surface_power_map(g, n)
     report.relations_vanish = not any(
-        fmap.polynomial_coordinates(poly)
-        for poly in ideal_generators(g, n, mode).polys)
+        fmap.polynomial_coordinates(poly) for poly in relations)
     return report
 
 
@@ -226,7 +246,7 @@ def multiplicativity_spot_check(g: int, n: int, samples: int = 8,
                                 seed: int = 0) -> bool:
     """Random monomial pairs: the image of the reduced product must match
     the product of the images."""
-    fmap = SurfacePowerMap(g, n)
+    fmap = surface_power_map(g, n)
     rng = random.Random(seed)
     pool = [m for s in range(1, n + 1) for m in monomials_of_degree(g, s)]
     for _ in range(samples):

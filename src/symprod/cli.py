@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import bridge as bridge_mod
 from . import quotient
@@ -41,9 +42,51 @@ EXIT_THEOREM = 3
 EXIT_RESOURCE = 4
 
 
+def json_text(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)`` for documents
+    with string keys.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder item by
+    item.  Here the pieces go to one list that is joined once; a plain
+    int is ``str`` and a list of them, such as a bridge matrix row, is
+    one join.  Tuples are written as lists, as ``json`` writes them;
+    other leaves go to ``json.dumps``.
+    """
+    out: list[str] = []
+    _write_json(doc, "", out)
+    return "".join(out)
+
+
+def _write_json(obj, indent: str, out: list[str]) -> None:
+    inner = indent + "  "
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif type(obj) is int:
+        out.append(str(obj))
+    elif isinstance(obj, dict) and obj:
+        head = "{\n" + inner
+        for k in sorted(obj):
+            out.append(f"{head}{encode_basestring_ascii(k)}: ")
+            _write_json(obj[k], inner, out)
+            head = ",\n" + inner
+        out.append(f"\n{indent}}}")
+    elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {int}:
+        items = (",\n" + inner).join([str(v) for v in obj])
+        out.append(f"[\n{inner}{items}\n{indent}]")
+    elif isinstance(obj, (list, tuple)) and obj:
+        head = "[\n" + inner
+        for v in obj:
+            out.append(head)
+            _write_json(v, inner, out)
+            head = ",\n" + inner
+        out.append(f"\n{indent}]")
+    else:
+        out.append(json.dumps(obj))
+
+
 def _emit(args, text_fn, doc):
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json_text(doc))
     else:
         text_fn(doc)
 
@@ -110,7 +153,8 @@ def cmd_sym_table(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    values = [quotient.betti(args.g, args.n, k) for k in range(2 * args.n + 1)]
+    # at n < 0 degree 0 is still asked for, so betti names the bad argument
+    values = [quotient.betti(args.g, args.n, k) for k in range(2 * max(args.n, 0) + 1)]
     doc = {"g": args.g, "n": args.n, "betti": values}
     _emit(args, lambda d: print(" ".join(map(str, d["betti"]))), doc)
     return EXIT_OK

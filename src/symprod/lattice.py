@@ -9,8 +9,10 @@ output, and every lattice question here is answered from it.  The ideal
 matrices it certifies have tens of thousands of rows with a handful of
 +-1/+-2 entries each, and their Hermite forms have no entry wider than
 2 bits, so exact integers need no modular arithmetic at this scale.
-Smith form and determinant pivot densely; they see only the small square
-bridge matrices and Hermite bases with at most `cols` rows.
+The Smith form starts from the Hermite form: when every pivot is 1, as in
+every unimodular bridge matrix, the invariants are read off it, and only
+otherwise does it pivot densely, on at most `cols` rows.  The determinant
+pivots densely; nothing in the program calls it.
 """
 
 from __future__ import annotations
@@ -122,16 +124,21 @@ def smith(m: Matrix) -> list[int]:
 
     The cokernel of m (rows as relations in Z^cols) has torsion
     (+) Z/d_i over the nonzero d_i > 1.
+
+    Row-reduce first: unimodular row ops preserve the invariants and
+    shrink tall relation matrices to at most `cols` rows.  If every pivot
+    of the Hermite form is 1, column operations clear each pivot's row to
+    its right without touching the rows below, which are zero in the
+    pivot's column, so the invariants are rank ones and then zeros.
+    Otherwise the Hermite rows are pivoted densely.
     """
     rows, cols = _check_rectangular(m)
     if rows == 0 or cols == 0:
         return []
-    # Row-reduce first: unimodular row ops preserve the invariants and
-    # shrink tall relation matrices to at most `cols` rows.
     work = hermite_nonzero(m)
     n_out = min(rows, cols)
-    if not work:
-        return [0] * n_out
+    if all(next(filter(None, row)) == 1 for row in work):
+        return [1] * len(work) + [0] * (n_out - len(work))
     a = [row.copy() for row in work]
     nr, nc = len(a), cols
     invariants = []

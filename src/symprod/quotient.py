@@ -289,7 +289,12 @@ def multiply_nf(f: Polynomial, h: Polynomial, g: int, n: int) -> Polynomial:
 
 def betti(g: int, n: int, k: int) -> int:
     """Rank of the degree-k part: sum of C(2g, k - 2i) for i >= 0, with the
-    reflection B_{2n-k} = B_k for k > n."""
+    reflection B_{2n-k} = B_k for k > n.  g = 0 is the sphere (CP^n),
+    n = 0 a point and n = 1 the surface itself."""
+    if g < 0:
+        raise ValueError(f"need g >= 0, got g={g}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     if not 0 <= k <= 2 * n:
         raise ValueError(f"degree {k} outside 0..{2 * n}")
     if k > n:

@@ -1,3 +1,6 @@
+import pytest
+
+from symprod import bridge
 from symprod.bridge import (
     SurfacePowerMap,
     check_isomorphism,
@@ -5,9 +8,11 @@ from symprod.bridge import (
     pool_size,
     report_from_dict,
     report_to_dict,
+    surface_power_map,
 )
 from symprod.fixtures import surface_ring
 from symprod.quotient import Monomial, Polynomial, betti
+from symprod.sympower import IndexProduct
 
 
 def test_surface_ring_structure():
@@ -98,3 +103,29 @@ def test_bridge_paths_build_no_oracle_tensors(monkeypatch):
     monkeypatch.setattr("symprod.bridge.sym_element", refuse)
     assert check_isomorphism(2, 3).verdict == "isomorphism"
     assert multiplicativity_spot_check(2, 3, samples=10, seed=5)
+
+
+@pytest.mark.parametrize("g,n,pairs", [(2, 4, 83), (3, 4, 233), (4, 3, 337), (2, 5, 91)])
+def test_one_map_per_run_computes_each_product_once(monkeypatch, g, n, pairs):
+    # every degree, the relation check and the spot check share one map:
+    # one kernel call per distinct (index, generator) pair and one
+    # enumeration of the tensor-power basis per run
+    calls = {"kernel": 0, "basis": 0}
+    kernel, enumerate_basis = IndexProduct.__call__, bridge.enumerate_basis
+
+    def count_kernel(self, i, j):
+        calls["kernel"] += 1
+        return kernel(self, i, j)
+
+    def count_basis(*args, **kwargs):
+        calls["basis"] += 1
+        return enumerate_basis(*args, **kwargs)
+
+    monkeypatch.setattr(IndexProduct, "__call__", count_kernel)
+    monkeypatch.setattr(bridge, "enumerate_basis", count_basis)
+    surface_power_map.cache_clear()
+    assert check_isomorphism(g, n).verdict == "isomorphism"
+    assert multiplicativity_spot_check(g, n, seed=0)
+    fmap = surface_power_map(g, n)
+    assert calls == {"kernel": pairs, "basis": 1}
+    assert len(fmap._products) == pairs

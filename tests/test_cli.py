@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from symprod.cli import main
+from symprod.cli import json_text, main
 from symprod.fixtures import packaged_fixture_dir
 from symprod.rings import ring_from_dict
 from symprod.sympower import table_from_dict
@@ -236,3 +238,84 @@ def test_json_outputs_reparse_identically(capsys):
         assert code == 0
         doc = json.loads(out)
         assert json.loads(json.dumps(doc)) == doc
+
+
+def test_bridge_hostile_input_exit_code(capsys, monkeypatch):
+    # rejected before any map is built
+    monkeypatch.setattr("symprod.bridge.surface_power_map", None)
+    for argv, message in (
+            (["--g", "1", "--n", "0"], "need g >= 1 and n >= 2, got g=1, n=0"),
+            (["--g", "0", "--n", "3"], "need g >= 1 and n >= 2, got g=0, n=3"),
+            (["--g", "2", "--n", "1", "--format", "json"],
+             "need g >= 1 and n >= 2, got g=2, n=1"),
+            (["--g", "1", "--n", "2", "--max-degree", "-2"],
+             "need max_degree >= 0, got max_degree=-2"),
+            (["--g", "3", "--n", "4", "--mode", "stable"],
+             "stable mode needs n >= 2g-1, got g=3, n=4")):
+        code, out, err = run(capsys, "bridge", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_betti_rejects_negative_input(capsys):
+    for argv, name in ((["--g", "1", "--n", "-1"], "n=-1"),
+                       (["--g", "-2", "--n", "2"], "g=-2"),
+                       (["--g", "-2", "--n", "-1"], "g=-2")):
+        code, out, err = run(capsys, "betti", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: need ") and err.strip().endswith(name), argv
+    # CP^n, a point and the surface itself stay valid
+    for argv, line in ((["--g", "0", "--n", "3"], "1 0 1 0 1 0 1"),
+                       (["--g", "0", "--n", "0"], "1"),
+                       (["--g", "3", "--n", "0"], "1"),
+                       (["--g", "3", "--n", "1"], "1 6 1")):
+        assert run(capsys, "betti", *argv) == (0, line + "\n", ""), argv
+
+
+json_leaves = (st.none() | st.booleans()
+               | st.integers() | st.integers(-10**40, 10**40)
+               | st.floats()
+               | st.text(max_size=8)
+               | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9",
+                                  "\u2028", "\U0001f600", "a\"b\\c\n\t"])
+               | st.lists(st.integers(), min_size=1, max_size=6)
+               | st.lists(st.booleans(), min_size=1, max_size=3))
+json_docs = st.recursive(
+    json_leaves,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=16)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=json_docs)
+@example(doc={"degrees_equal": [(0, True), (1, False)], "empty": {"a": [], "b": ()}})
+@example(doc=[[1, -2], [True, 1], (3, 4), [10**30, -10**30], [0.5, 1]])
+@example(doc=[-0.0, float("nan"), float("inf"), float("-inf"), "", None])
+def test_json_text_equals_json_dumps(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_every_subcommand_json_equals_json_dumps(capsys, monkeypatch):
+    # the document each subcommand builds is printed as json.dumps would
+    docs = []
+
+    def recording(doc):
+        docs.append(doc)
+        return json_text(doc)
+
+    monkeypatch.setattr("symprod.cli.json_text", recording)
+    for argv in (["validate", "torus.ring"],
+                 ["sym-basis", "sphere2.ring", "--n", "3"],
+                 ["sym-table", "torus.ring", "--n", "2", "--max-degree", "4"],
+                 ["betti", "--g", "2", "--n", "3"],
+                 ["relations", "--g", "2", "--n", "2", "--mode", "minimal_even"],
+                 ["mac", "--g", "1", "--n", "3", "--mode", "stable"],
+                 ["nf", "--g", "2", "--n", "2", "-x1.x'1.y"],
+                 ["verify", "--g", "2", "--n", "2"],
+                 ["bridge", "--g", "2", "--n", "2"]):
+        docs.clear()
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert len(docs) == 1, argv
+        assert out == json.dumps(docs[0], indent=2, sort_keys=True) + "\n", argv

@@ -4,7 +4,8 @@ Each job runs through ``symprod.cli.main`` with stdout captured, and the
 digest ``sha256(f"exit={code}\\n{stdout}")[:16]`` must equal the one in
 ``perfbench/goldens.json``.  Covered: every fixed ``sym-table``, ``verify``
 and ``bridge`` job of the benchmark, and the first job of each small-query
-subcommand in its request pool.
+subcommand in its request pool.  One larger bridge job, beyond the
+benchmark's sizes, has its digest pinned here.
 """
 
 import contextlib
@@ -84,3 +85,10 @@ def test_output_matches_golden_digest(job, sym2_spec):
     argv = [sym2_spec if a == workloads.SYM2_SPEC else a for a in job["argv"]]
     code, stdout = run_job(argv)
     assert digest(code, stdout) == GOLDENS[job["key"]]
+
+
+def test_bridge_g4_n5_matches_recorded_digest():
+    # recorded before the bridge shared one map per run and read unit
+    # Smith invariants off the Hermite form
+    code, stdout = run_job(["bridge", "--g", "4", "--n", "5", "--format", "json"])
+    assert digest(code, stdout) == "22ad5b1075cf2d24"

@@ -73,6 +73,84 @@ def hermite_with_transform(m):
     return h, u
 
 
+def smith_reference(m):
+    """Reference Smith invariants by dense pivoting on all of m.
+
+    The dense loop ``smith`` ran on every matrix before it read unit
+    pivots off the Hermite form; here it runs on m itself, without the
+    Hermite step, so it shares no code with ``smith``.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    if rows == 0 or cols == 0:
+        return []
+    a = [row.copy() for row in m]
+    nr, nc = rows, cols
+    invariants = []
+    top = 0
+    while top < nr and top < nc:
+        best = None
+        for i in range(top, nr):
+            for j in range(top, nc):
+                v = abs(a[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        a[top], a[pi] = a[pi], a[top]
+        for row in a:
+            row[top], row[pj] = row[pj], row[top]
+        while True:
+            for i in range(top + 1, nr):
+                while a[i][top]:
+                    q = a[i][top] // a[top][top]
+                    if q:
+                        for k in range(nc):
+                            a[i][k] -= q * a[top][k]
+                    if a[i][top]:
+                        a[top], a[i] = a[i], a[top]
+            for j in range(top + 1, nc):
+                while a[top][j]:
+                    q = a[top][j] // a[top][top]
+                    if q:
+                        for row in a:
+                            row[j] -= q * row[top]
+                    if a[top][j]:
+                        for row in a:
+                            row[top], row[j] = row[j], row[top]
+            if all(a[i][top] == 0 for i in range(top + 1, nr)):
+                if all(a[top][j] == 0 for j in range(top + 1, nc)):
+                    break
+        d = abs(a[top][top])
+        offender = next(((i, j) for i in range(top + 1, nr)
+                         for j in range(top + 1, nc) if a[i][j] % d), None)
+        if offender is not None:
+            i, _ = offender
+            for k in range(nc):
+                a[top][k] += a[i][k]
+            continue
+        invariants.append(d)
+        top += 1
+    invariants.extend([0] * (min(rows, cols) - len(invariants)))
+    return invariants
+
+
+def random_unimodular(rng, n, steps=12):
+    """A product of random row shears and swaps of the n x n identity."""
+    u = identity(n)
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        if rng.random() < 0.2:
+            u[i], u[j] = u[j], u[i]
+        else:
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return u
+
+
 def assert_hermite_shape(h):
     # pivots positive, entries above each pivot reduced into [0, pivot),
     # zero rows at the bottom
@@ -256,6 +334,47 @@ def test_smith_divisibility_chain_random():
                 assert b == 0
             else:
                 assert b % a == 0
+
+
+def test_smith_matches_reference_on_unimodular_matrices():
+    rng = random.Random(60601)
+    for _ in range(40):
+        n = rng.randrange(1, 8)
+        u = random_unimodular(rng, n)
+        assert smith(u) == smith_reference(u) == [1] * n
+
+
+def test_smith_matches_reference_on_conjugated_diag_2_6_0():
+    # non-unit invariants: the Hermite pivots cannot all be 1, so these
+    # reach the dense loop
+    rng = random.Random(60602)
+    d = [[2, 0, 0], [0, 6, 0], [0, 0, 0]]
+    for _ in range(40):
+        m = mat_mul(random_unimodular(rng, 3), mat_mul(d, random_unimodular(rng, 3)))
+        assert smith(m) == smith_reference(m) == [2, 6, 0]
+
+
+def test_smith_matches_reference_on_shapes():
+    rng = random.Random(60603)
+    cases = [[[0] * 4 for _ in range(3)], [[0] * 3 for _ in range(5)], [[0]]]
+    for _ in range(120):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        kind = rng.choice(("tall", "wide", "deficient", "sparse"))
+        if kind == "tall":
+            rows = cols + rng.randrange(1, 5)
+        elif kind == "wide":
+            cols = rows + rng.randrange(1, 5)
+        m = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
+        if kind == "deficient" and rows > 1:
+            # one row a combination of two others
+            i, j, k = (rng.randrange(rows) for _ in range(3))
+            m[i] = [rng.randrange(-2, 3) * a + rng.randrange(-2, 3) * b
+                    for a, b in zip(m[j], m[k])]
+        elif kind == "sparse":
+            m = [[v if rng.random() < 0.25 else 0 for v in row] for row in m]
+        cases.append(m)
+    for m in cases:
+        assert smith(m) == smith_reference(m), m
 
 
 def test_determinant():

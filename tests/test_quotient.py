@@ -244,6 +244,17 @@ def test_betti_values():
         betti(2, 2, 5)
 
 
+def test_betti_names_the_negative_argument():
+    with pytest.raises(ValueError, match=r"^need g >= 0, got g=-2$"):
+        betti(-2, 2, 0)
+    with pytest.raises(ValueError, match=r"^need n >= 0, got n=-1$"):
+        betti(1, -1, 0)
+    # the sphere gives CP^n, n = 0 a point, n = 1 the surface itself
+    assert [betti(0, 3, k) for k in range(7)] == [1, 0, 1, 0, 1, 0, 1]
+    assert betti(0, 0, 0) == betti(4, 0, 0) == 1
+    assert [betti(3, 1, k) for k in range(3)] == [1, 6, 1]
+
+
 def test_betti_poincare_symmetry():
     for g, n in [(1, 2), (2, 3), (3, 2)]:
         for k in range(2 * n + 1):
