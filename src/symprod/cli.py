@@ -19,6 +19,7 @@ inconsistency, 4 resource bound reached (partial bridge report).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -244,7 +245,10 @@ def cmd_bridge(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on first use and kept: `parse_known_args` leaves the parser as
+    # it found it, so one process can serve many requests
     parser = argparse.ArgumentParser(
         prog="symprod",
         description="Exact cohomology of symmetric products: tensor-power "

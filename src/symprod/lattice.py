@@ -1,14 +1,15 @@
 """Exact integer matrix algebra: Hermite and Smith normal forms, lattices.
 
 Matrices are plain lists of rows of Python ints, so all arithmetic is
-arbitrary precision.  The Hermite form works on sparse rows: it inserts
-the rows one at a time into a table of pivot rows keyed by leading column
+arbitrary precision.  The Hermite form works on sparse {col: value} rows
+(`hermite_rows`; `hermite_nonzero` is its dense wrapper): it inserts the
+rows one at a time into a table of pivot rows keyed by leading column
 (row insertion as in Kannan and Bachem, 1979), then reduces above the
 pivots.  It keeps no unimodular transform: the canonical H is its only
 output, and every lattice question here is answered from it.  The ideal
-matrices it certifies have tens of thousands of rows with a handful of
-+-1/+-2 entries each, and their Hermite forms have no entry wider than
-2 bits, so exact integers need no modular arithmetic at this scale.
+lattices `verify` certifies reach about 14,000 rows of a handful of
+small entries each at g = 6, and their Hermite forms have no entry wider
+than 4 bits, so exact integers need no modular arithmetic at this scale.
 The Smith form starts from the Hermite form: when every pivot is 1, as in
 every unimodular bridge matrix, the invariants are read off it, and only
 otherwise does it pivot densely, on at most `cols` rows.  The determinant
@@ -17,11 +18,14 @@ pivots densely; nothing in the program calls it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from heapq import heapify, heappop, heappush
 from itertools import compress
 
 from .rings import add_terms
 
 Matrix = list[list[int]]
+SparseRow = dict[int, int]
 
 
 class DimensionError(ValueError):
@@ -71,48 +75,81 @@ def hermite(m: Matrix) -> Matrix:
 def hermite_nonzero(m: Matrix) -> Matrix:
     """Nonzero rows of the Hermite form, the canonical basis of the row lattice."""
     _, cols = _check_rectangular(m)
-    # Rows are sparse {col: value} dicts while they are worked on.  Each
-    # row is inserted into a table of pivot rows keyed by leading column:
-    # a row whose leading column is free takes it; otherwise the pivot
-    # clears that entry (an exact division, or a unimodular gcd step that
-    # replaces the pivot) and the row goes on from its next nonzero column.
-    pivots: dict[int, dict[int, int]] = {}
-    for dense in m:
-        row = {j: dense[j] for j in compress(range(cols), dense)}
-        while row:
-            col = min(row)
-            p = pivots.get(col)
-            if p is None:
-                pivots[col] = row
-                break
-            a, b = p[col], row[col]
-            if b % a == 0:
-                add_terms(row, p.items(), -(b // a))
-            else:
-                g, x, y = xgcd(a, b)
-                # (p, row) <- (x*p + y*row, -(b/g)*p + (a/g)*row); the 2x2
-                # operation has determinant 1 and clears row's entry
-                pivots[col] = add_terms(add_terms({}, p.items(), x), row.items(), y)
-                row = add_terms(add_terms({}, p.items(), -(b // g)), row.items(), a // g)
-    # Positive pivots, then reduce the entries above each pivot, in
-    # increasing column order so a later step never disturbs an earlier one.
-    done: list[dict[int, int]] = []
-    for col in sorted(pivots):
-        p = pivots[col]
-        if p[col] < 0:
-            p = {j: -v for j, v in p.items()}
-        for above in done:
-            q = above.get(col, 0) // p[col]
-            if q:
-                add_terms(above, p.items(), -q)
-        done.append(p)
     out = []
-    for p in done:
+    for p in hermite_rows({j: row[j] for j in compress(range(cols), row)} for row in m):
         dense = [0] * cols
         for j, v in p.items():
             dense[j] = v
         out.append(dense)
     return out
+
+
+def hermite_rows(rows: Iterable[SparseRow]) -> list[SparseRow]:
+    """Hermite form of sparse {col: value} rows: the canonical basis of
+    their lattice, positive pivots and reduced entries above them, in
+    increasing pivot column order.  The input rows are left as they are.
+
+    Each row is inserted into a table of pivot rows keyed by leading
+    column: a row whose leading column is free takes it; otherwise the
+    pivot clears that entry (an exact division, or a unimodular gcd step
+    that replaces the pivot) and the row goes on from its next nonzero
+    column.
+    """
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        row = {j: v for j, v in row.items() if v}
+        while (col := _reduce(row, pivots)) is not None:
+            p = pivots.get(col)
+            if p is None:
+                pivots[col] = row
+                break
+            a, b = p[col], row[col]
+            g, x, y = xgcd(a, b)
+            # (p, row) <- (x*p + y*row, -(b/g)*p + (a/g)*row); the 2x2
+            # operation has determinant 1 and clears row's entry
+            pivots[col] = add_terms(add_terms({}, p.items(), x), row.items(), y)
+            row = add_terms(add_terms({}, p.items(), -(b // g)), row.items(), a // g)
+    # Positive pivots, then reduce each row's entries in pivot columns,
+    # from the last pivot row up.  Rows below are already reduced and lead
+    # at their pivot, so subtracting one changes the row only at and past
+    # that pivot's column; a heap takes those columns in increasing order.
+    for col, p in pivots.items():
+        if p[col] < 0:
+            pivots[col] = {j: -v for j, v in p.items()}
+    order = sorted(pivots)
+    for col in reversed(order):
+        p = pivots[col]
+        todo = [j for j in p if j > col and j in pivots]
+        heapify(todo)
+        while todo:
+            j = heappop(todo)
+            r = pivots[j]
+            q = p.get(j, 0) // r[j]
+            if q:
+                add_terms(p, r.items(), -q)
+                for k in r:
+                    if k > j and k in pivots:
+                        heappush(todo, k)
+    return [pivots[col] for col in order]
+
+
+def _reduce(row: SparseRow, pivots: dict[int, SparseRow]) -> int | None:
+    """Subtract pivot multiples from row, in place, while its leading entry
+    is a multiple of the pivot in its column.  Returns the leading column
+    where that stops, free or holding a non-multiple, or None once row is 0."""
+    while row:
+        col = min(row)
+        p = pivots.get(col)
+        if p is None or row[col] % p[col]:
+            return col
+        add_terms(row, p.items(), -(row[col] // p[col]))
+    return None
+
+
+def in_lattice(v: SparseRow, basis: list[SparseRow]) -> bool:
+    """Is the sparse row v in the lattice of a `hermite_rows` basis?"""
+    row = {j: x for j, x in v.items() if x}
+    return _reduce(row, {min(p): p for p in basis}) is None
 
 
 def rank(m: Matrix) -> int:
@@ -236,17 +273,9 @@ def lattice_membership(v: list[int], generators: Matrix) -> bool:
     """Is v in the Z-span of the generator rows?"""
     if generators and len(v) != len(generators[0]):
         raise DimensionError("vector length does not match generator width")
-    basis = hermite_nonzero(generators)
-    w = list(v)
-    for row in basis:
-        col = next(j for j, e in enumerate(row) if e)
-        if w[col] % row[col]:
-            return False
-        q = w[col] // row[col]
-        if q:
-            for k in range(col, len(w)):
-                w[k] -= q * row[k]
-    return not any(w)
+    _check_rectangular(generators)
+    basis = hermite_rows(dict(enumerate(row)) for row in generators)
+    return in_lattice(dict(enumerate(v)), basis)
 
 
 def lattice_equal(a: Matrix, b: Matrix) -> bool:

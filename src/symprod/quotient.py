@@ -12,6 +12,7 @@ the weight is >= 1) survive as the canonical basis of the quotient.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -395,14 +396,69 @@ def ideal_fills_degree(g: int, n: int, s: int) -> bool:
     return lattice.is_full_unit_lattice(rows, dim)
 
 
+@functools.lru_cache(maxsize=None)
+def _columns(g: int, s: int) -> tuple[list[int], dict[int, int]]:
+    # the masks of `monomials_of_degree(g, s)` in order, and mask -> column;
+    # within one degree a mask names one monomial
+    masks = [_mask(m, g) for m in monomials_of_degree(g, s)]
+    return masks, {mask: i for i, mask in enumerate(masks)}
+
+
+def _row(poly: Polynomial, g: int, pos: dict[int, int]) -> lattice.SparseRow:
+    return {pos[_mask(m, g)]: c for m, c in poly.terms.items()}
+
+
+def ideal_bases(gens: GeneratorSet, g: int, top: int) -> list[list[lattice.SparseRow]]:
+    """Hermite bases B_0..B_top of the ideal's degree pieces, as sparse
+    `lattice.hermite_rows` rows, columns in `monomials_of_degree(g, s)`
+    order; `lattice.hermite_nonzero(ideal_degree_rows(gens, g, s))` is B_s
+    made dense.
+
+    Every monomial of positive degree is +-v times a monomial, for v one of
+    the 2g degree-1 variables, or y times one.  So the degree-s piece is
+    spanned by v * B_{s-1} over all v, y * B_{s-2}, and the generators of
+    degree s, and each degree is built from the two below it.  With
+    monomials as masks (see `_mask`), v is one bit: v * t is zero when t
+    holds the bit, and otherwise has sign -1 when an odd number of t's bits
+    lie below it.  y keeps the mask.
+    """
+    by_degree: dict[int, list[Polynomial]] = {}
+    for poly in gens.polys:
+        d = poly.degree()
+        if d is None or d > top:
+            continue
+        if poly.max_index() > g:
+            raise ValueError(f"variable index exceeds g={g}")
+        by_degree.setdefault(d, []).append(poly)
+    bits = [1 << i for i in range(2 * g)]
+    bases: list[list[lattice.SparseRow]] = []
+    for s in range(top + 1):
+        pos = _columns(g, s)[1]
+        rows = []
+        if s >= 1:
+            masks = _columns(g, s - 1)[0]
+            for b in bases[s - 1]:
+                terms = [(masks[j], c) for j, c in b.items()]
+                for bit in bits:
+                    below = bit - 1
+                    row = {pos[t | bit]: -c if (t & below).bit_count() & 1 else c
+                           for t, c in terms if not t & bit}
+                    if row:
+                        rows.append(row)
+        if s >= 2:
+            masks = _columns(g, s - 2)[0]
+            rows += [{pos[masks[j]]: c for j, c in b.items()} for b in bases[s - 2]]
+        for poly in by_degree.get(s, ()):
+            rows.append(_row(poly, g, pos))
+        bases.append(lattice.hermite_rows(rows))
+    return bases
+
+
 def ideals_equal_by_degree(a: GeneratorSet, b: GeneratorSet, g: int,
                            max_degree: int) -> list[tuple[int, bool]]:
-    out = []
-    for s in range(max_degree + 1):
-        rows_a = ideal_degree_rows(a, g, s)
-        rows_b = ideal_degree_rows(b, g, s)
-        out.append((s, lattice.lattice_equal(rows_a, rows_b)))
-    return out
+    # Hermite bases are canonical: equal bases, equal lattices
+    pairs = zip(ideal_bases(a, g, max_degree), ideal_bases(b, g, max_degree))
+    return [(s, basis_a == basis_b) for s, (basis_a, basis_b) in enumerate(pairs)]
 
 
 @dataclass
@@ -449,19 +505,16 @@ def verify_minimality(g: int, n: int) -> MinimalityReport:
     q0 = GeneratorSet("q0", [m for m in minimal.monomials if m.q == 0],
                       [p for m, p in zip(minimal.monomials, minimal.polys)
                        if m.q == 0])
-    basis_n1 = monomials_of_degree(g, n + 1)
-    rank = lattice.rank([poly_vector(p, basis_n1) for p in q0.polys])
+    # every q0 generator has degree n+1, so B_{n+1} is their span
+    q0_bases = ideal_bases(q0, g, n + 2 if mode == "minimal_even" else n + 1)
     report = MinimalityReport(
         g, n, mode,
-        rank_q0=rank,
+        rank_q0=len(q0_bases[n + 1]),
         expected_rank=comb(2 * g, n + 1),
         degrees_equal=ideals_equal_by_degree(minimal, full, g, 2 * n))
     if mode == "minimal_even":
-        extra = minimal.polys[-1]
-        basis_n2 = monomials_of_degree(g, n + 2)
-        inside = lattice.lattice_membership(
-            poly_vector(extra, basis_n2), ideal_degree_rows(q0, g, n + 2))
-        report.extra_relation_outside = not inside
+        extra = _row(minimal.polys[-1], g, _columns(g, n + 2)[1])
+        report.extra_relation_outside = not lattice.in_lattice(extra, q0_bases[n + 2])
     return report
 
 

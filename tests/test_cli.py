@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -319,3 +323,27 @@ def test_every_subcommand_json_equals_json_dumps(capsys, monkeypatch):
         assert code == 0, argv
         assert len(docs) == 1, argv
         assert out == json.dumps(docs[0], indent=2, sort_keys=True) + "\n", argv
+
+
+def test_back_to_back_requests_match_fresh_processes(capsys):
+    # one process serves the requests in turn on one parser: a subcommand's
+    # defaults and a leading-minus polynomial are read afresh each time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    requests = [
+        ["relations", "--g", "1", "--n", "3", "--mode", "stable", "--format", "json"],
+        ["bridge", "--g", "1", "--n", "3", "--format", "json"],
+        ["betti", "--g", "2", "--n", "3"],
+        ["nf", "--g", "2", "--n", "2", "-x1.x'1.y", "--format", "json"],
+        ["mac", "--g", "2", "--n", "2", "--mode", "minimal_even"],
+        ["relations", "--g", "2", "--n", "2"],
+        ["verify", "--g", "2", "--n", "3", "--format", "json"],
+        ["nf", "--g", "2", "--n", "2", "x1.x'1.y"],
+    ]
+    in_process = [run(capsys, *argv) for argv in requests]
+    assert json.loads(in_process[1][1])["mode"] == "full"
+    for argv, got in zip(requests, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "symprod.cli", *argv], env=env,
+                               capture_output=True, text=True, check=False)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv

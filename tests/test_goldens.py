@@ -5,7 +5,8 @@ digest ``sha256(f"exit={code}\\n{stdout}")[:16]`` must equal the one in
 ``perfbench/goldens.json``.  Covered: every fixed ``sym-table``, ``verify``
 and ``bridge`` job of the benchmark, and the first job of each small-query
 subcommand in its request pool.  One larger bridge job, beyond the
-benchmark's sizes, has its digest pinned here.
+benchmark's sizes, has its digest pinned here, and so do three ``verify``
+jobs at g = 5 and 6.
 """
 
 import contextlib
@@ -92,3 +93,13 @@ def test_bridge_g4_n5_matches_recorded_digest():
     # Smith invariants off the Hermite form
     code, stdout = run_job(["bridge", "--g", "4", "--n", "5", "--format", "json"])
     assert digest(code, stdout) == "22ad5b1075cf2d24"
+
+
+@pytest.mark.parametrize("g, n, want", [(5, 4, "beb17e17874129cc"),
+                                        (5, 5, "c5254b6cae7b62f3"),
+                                        (6, 4, "a7950fd490acacaf")])
+def test_verify_at_scale_matches_recorded_digest(g, n, want):
+    # recorded while each degree's ideal lattice was still spanned by every
+    # generator times every monomial of the complementary degree
+    code, stdout = run_job(["verify", "--g", str(g), "--n", str(n), "--format", "json"])
+    assert digest(code, stdout) == want

@@ -8,7 +8,9 @@ from symprod.lattice import (
     determinant,
     hermite,
     hermite_nonzero,
+    hermite_rows,
     identity,
+    in_lattice,
     is_full_unit_lattice,
     lattice_equal,
     lattice_membership,
@@ -290,6 +292,23 @@ def test_hermite_matches_transform_reference_gcd_and_sign(monkeypatch):
         flips += len({row[0] for row in m} - {0}) == 1 and min(row[0] for row in m) < 0
     assert len(calls) > 100
     assert flips > 10
+
+
+def test_hermite_rows_on_sparse_rows():
+    # the sparse core behind `hermite_nonzero`: same basis, input untouched,
+    # and membership read off the basis agrees with the dense reduction
+    rng = random.Random(161803)
+    for m in _gcd_and_sign_matrices(rng):
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
+        before = [dict(row) for row in sparse]
+        basis = hermite_rows(sparse)
+        assert sparse == before
+        assert [[row.get(j, 0) for j in range(len(m[0]))] for row in basis] == hermite_nonzero(m)
+        assert [min(row) for row in basis] == sorted({min(row) for row in basis})
+        for row in sparse:
+            assert in_lattice(row, basis)
+        v = [rng.randrange(-3, 4) for _ in m[0]]
+        assert in_lattice(dict(enumerate(v)), basis) == lattice_membership(v, m)
 
 
 def test_hermite_shapes_and_ragged_input():

@@ -16,6 +16,7 @@ from symprod.quotient import (
     QuotientInvariantError,
     betti,
     format_poly,
+    ideal_bases,
     ideal_degree_rows,
     ideal_fills_degree,
     ideal_generators,
@@ -385,6 +386,104 @@ def test_ideal_degree_rows_work_counts_g4_n4():
         for s, (n_rows, rank) in enumerate(counts):
             rows = ideal_degree_rows(gens, 4, s)
             assert (len(rows), lattice.rank(rows)) == (n_rows, rank), (mode, s)
+
+
+def dense(basis, g, s):
+    cols = len(monomials_of_degree(g, s))
+    return [[row.get(j, 0) for j in range(cols)] for row in basis]
+
+
+def test_ideal_bases_match_reference():
+    # the propagated basis of each degree is the Hermite form of that
+    # degree's spanning rows, two degrees past the top of the quotient
+    cases = 0
+    for g in range(1, 5):
+        for n in range(2, 6):
+            for mode in valid_modes(g, n):
+                gens = ideal_generators(g, n, mode)
+                bases = ideal_bases(gens, g, 2 * n + 2)
+                assert len(bases) == 2 * n + 3
+                for s, basis in enumerate(bases):
+                    expected = lattice.hermite_nonzero(ideal_degree_rows(gens, g, s))
+                    assert dense(basis, g, s) == expected, (g, n, mode, s)
+                    cases += 1
+    assert cases == 320
+
+
+def test_ideal_bases_match_reference_random_polys():
+    # the generator sets of the spanning-row test: mixed signs, unpaired
+    # variables in any order, y powers, and a non-homogeneous one (skipped)
+    rng = random.Random(77)
+    g = 3
+    for _ in range(20):
+        polys = []
+        for _ in range(rng.randrange(1, 4)):
+            d = rng.randrange(0, 5)
+            pool = monomials_of_degree(g, d)
+            polys.append(Polynomial({rng.choice(pool): rng.choice((-3, -1, 1, 2))
+                                     for _ in range(rng.randrange(1, 5))}))
+        polys.append(parse_poly("x1 + 2*x'2.y", g=g))
+        gens = GeneratorSet("random", [], polys)
+        for s, basis in enumerate(ideal_bases(gens, g, 7)):
+            expected = lattice.hermite_nonzero(ideal_degree_rows(gens, g, s))
+            assert dense(basis, g, s) == expected, s
+
+
+def test_ideal_bases_reject_foreign_index():
+    gens = GeneratorSet("foreign", [], [parse_poly("x3.x'1")])
+    with pytest.raises(ValueError):
+        ideal_bases(gens, 2, 3)
+
+
+def without(gens, i):
+    return GeneratorSet("cut", gens.monomials[:i] + gens.monomials[i + 1:],
+                        gens.polys[:i] + gens.polys[i + 1:])
+
+
+def test_ideals_equal_by_degree_failing_flags_match_reference():
+    # a generating set short of one generator spans a smaller ideal; the
+    # degrees where that shows must be the degrees where the spanning rows'
+    # lattices differ
+    full_34 = ideal_generators(3, 4, "full")
+    minimal_34 = ideal_generators(3, 4, "minimal_even")
+    full_24 = ideal_generators(2, 4, "full")
+    stable_24 = ideal_generators(2, 4, "stable")
+    cases = [
+        (without(minimal_34, 0), full_34, 3, 8, [5]),
+        (without(minimal_34, len(minimal_34.polys) - 1), full_34, 3, 8, [6, 8]),
+        (stable_24, without(full_24, 0), 2, 8, [6]),
+    ]
+    for a, b, g, top, failing in cases:
+        flags = ideals_equal_by_degree(a, b, g, top)
+        reference = [(s, lattice.lattice_equal(ideal_degree_rows(a, g, s),
+                                               ideal_degree_rows(b, g, s)))
+                     for s in range(top + 1)]
+        assert flags == reference
+        assert [s for s, flag in flags if not flag] == failing
+
+
+def test_ideal_bases_work_counts_g4_n4(monkeypatch):
+    # (rows handed to the Hermite form, rank) per degree s = 0..8; the
+    # spanning rows of `test_ideal_degree_rows_work_counts_g4_n4` number
+    # 56/398/1336/2898 (full) and 56/329/888/1517 (minimal_even) at s = 5..8
+    expected = {
+        "full": [(0, 0)] * 5 + [(56, 56), (398, 98), (580, 120), (630, 127)],
+        "minimal_even": [(0, 0)] * 5 + [(56, 56), (329, 98), (524, 120), (602, 127)],
+    }
+    hermite_rows = lattice.hermite_rows
+    seen = []
+
+    def counting(rows):
+        rows = list(rows)
+        basis = hermite_rows(rows)
+        seen.append((len(rows), len(basis)))
+        return basis
+
+    monkeypatch.setattr(lattice, "hermite_rows", counting)
+    for mode, counts in expected.items():
+        seen.clear()
+        ideal_bases(ideal_generators(4, 4, mode), 4, 8)
+        assert seen == counts, mode
 
 
 def test_verify_minimality_g2_n2():
