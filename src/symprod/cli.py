@@ -11,9 +11,10 @@ Subcommands (each accepts --format text|json):
   verify --g G --n N         minimality certificate for the relation ideal
   bridge --g G --n N         degreewise change of basis between the two models
 
-Exit codes: 0 success, 2 malformed input, 3 violated theorem claim
-(non-integer structure constant, torsion, failed certificate) or internal
-inconsistency, 4 resource bound reached (partial bridge report).
+Exit codes: 0 success, 1 standard output closed early (a broken pipe, as
+in ``symprod relations ... | head``), 2 malformed input, 3 violated theorem
+claim (non-integer structure constant, torsion, failed certificate) or
+internal inconsistency, 4 resource bound reached (partial bridge report).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -38,6 +40,7 @@ from .sympower import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_THEOREM = 3
 EXIT_RESOURCE = 4
@@ -331,7 +334,17 @@ def main(argv=None) -> int:
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`symprod ... | head`): send what is left
+        # in the buffer to devnull, so the final flush at exit cannot fail
+        # again, and exit 1 as Python does on a broken pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (RingSpecError, quotient.PolyParseError, FileNotFoundError,
             quotient.NonHomogeneousError, quotient.InvalidModeError) as e:
         print(f"error: {e}", file=sys.stderr)

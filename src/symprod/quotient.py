@@ -161,29 +161,77 @@ def relation_poly(m: Monomial) -> Polynomial:
     """The relation attached to a monomial: keep the unpaired variables,
     replace each paired block x_k x'_k by (y - x_k x'_k), keep y^q.
     Expanded, its unique maximal-weight monomial is m itself, with
-    coefficient +-1."""
+    coefficient +-1.
+
+    Written out in closed form, one term per subset S of the paired
+    indices P: base * prod_{k in S} (-x_k x'_k) * y^(q + |P| - |S|), with
+    base the unpaired variables.  The blocks have even degree, so their
+    order does not matter; placing them, in increasing k, after base is
+    the word that sorts into the term.  With monomials as masks (see
+    `_mask`) the sort costs one inversion per pair (v in base, u in a
+    block) with v > u, counted by popcount against `_below` of base, and
+    one per pair of blocks (x'_k before x_l).  So the sign is
+    (-1)^(|S| + C(|S|, 2)) times (-1)^(e_k) for each k in S, with e_k the
+    parity of base's bits above x_k and x'_k.  Terms come in the order
+    the product taken one bracket at a time gives them: subset order,
+    with the first paired index as the most significant bit.
+    """
     paired = sorted(set(m.xs) & set(m.xp))
-    base = Monomial(tuple(i for i in m.xs if i not in paired),
-                    tuple(j for j in m.xp if j not in paired), m.q)
-    poly = Polynomial.monomial(base)
-    for k in paired:
-        bracket = Polynomial({Y: 1, Monomial((k,), (k,), 0): -1})
-        poly = poly * bracket
-    return poly
+    c = len(paired)
+    g = m.max_index  # `_mask` keeps the variable order for any g >= the indices
+    blocks = {k: 1 << (k - 1) | 1 << (g + k - 1) for k in paired}
+    below = _below(_mask(m, g) ^ sum(blocks.values()))
+    # subset bit of each paired index, first index most significant, and
+    # the subset bits whose block carries an odd sign against base
+    bit = {k: 1 << (c - 1 - j) for j, k in enumerate(paired)}
+    odd = sum(bit[k] for k in paired if (below & blocks[k]).bit_count() & 1)
+    terms = {}
+    for subset in range(1 << c):
+        size = subset.bit_count()
+        # an index drops when it is paired and its block is left out
+        left_out = ~subset
+        xs = tuple(i for i in m.xs if not bit.get(i, 0) & left_out)
+        xp = tuple(j for j in m.xp if not bit.get(j, 0) & left_out)
+        parity = size + size * (size - 1) // 2 + (subset & odd).bit_count()
+        terms[Monomial(xs, xp, m.q + c - size)] = -1 if parity & 1 else 1
+    return Polynomial(terms)
+
+
+def _pairs_of_weight(g: int, w: int):
+    # the index-set pairs (xs, xp) = (A + C, B + C) of y-free weight w:
+    # disjoint paired C, x-only A and x'-only B with |A| + |B| + 2|C| == w
+    indices = range(1, g + 1)
+    for c in range(min(g, w // 2) + 1):
+        for paired in itertools.combinations(indices, c):
+            rest = [i for i in indices if i not in paired]
+            left = w - 2 * c
+            if left > len(rest):
+                continue
+            for a in range(left + 1):
+                for only_x in itertools.combinations(rest, a):
+                    others = [i for i in rest if i not in only_x]
+                    for only_xp in itertools.combinations(others, left - a):
+                        yield (tuple(sorted(only_x + paired)),
+                               tuple(sorted(only_xp + paired)))
+
+
+def _by_degree_then_sets(m: Monomial):
+    # `Monomial.sort_key` for monomials of one weight
+    return m.degree, m.xs, m.xp
 
 
 def monomials_of_weight(g: int, w: int) -> list[Monomial]:
-    out = []
-    indices = range(1, g + 1)
-    for xs_size in range(g + 1):
-        for xs in itertools.combinations(indices, xs_size):
-            for xp_size in range(g + 1):
-                for xp in itertools.combinations(indices, xp_size):
-                    m0 = Monomial(xs, xp, 0)
-                    q = w - m0.weight
-                    if q >= 0:
-                        out.append(Monomial(xs, xp, q))
-    out.sort(key=lambda m: m.sort_key)
+    """Every monomial of weight w in the variables of index <= g, in
+    `Monomial.sort_key` order.
+
+    A monomial is a disjoint paired set C, x-only set A and x'-only set B
+    plus y^q, so the weight-w ones are the triples with
+    |A| + |B| + 2|C| = e <= w, each with q = w - e.  All have weight w,
+    so the order is by degree, then xs, then xp.
+    """
+    out = [Monomial(xs, xp, w - e)
+           for e in range(w + 1) for xs, xp in _pairs_of_weight(g, e)]
+    out.sort(key=_by_degree_then_sets)
     return out
 
 
@@ -216,7 +264,8 @@ def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
     stable (n >= 2g-1): the single relation with minimal y-exponent.
     minimal_odd / minimal_even (2 <= n <= 2g-2, n of that parity): the
     C(2g, n+1) relations of degree n+1, plus for even n the one extra
-    relation y * prod_{k<=n/2} (y - x_k x'_k).
+    relation y * prod_{k<=n/2} (y - x_k x'_k).  The degree-(n+1) ones are
+    the weight-(n+1) monomials with q = 0, and only those are enumerated.
     """
     if g < 1 or n < 2:
         raise InvalidModeError(f"need g >= 1 and n >= 2, got g={g}, n={n}")
@@ -233,7 +282,8 @@ def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
             raise InvalidModeError(f"minimal modes need 2 <= n <= 2g-2, got g={g}, n={n}")
         if (n % 2 == 1) != want_odd:
             raise InvalidModeError(f"{mode} needs n of matching parity, got n={n}")
-        monomials = [m for m in monomials_of_weight(g, n + 1) if m.q == 0]
+        monomials = sorted((Monomial(xs, xp, 0) for xs, xp in _pairs_of_weight(g, n + 1)),
+                           key=_by_degree_then_sets)
         if len(monomials) != comb(2 * g, n + 1):
             raise QuotientInvariantError(
                 f"{len(monomials)} degree-{n + 1} relations for g={g}, n={n}, "
@@ -254,6 +304,8 @@ def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
     drops; otherwise its relation replaces it by strictly smaller weight.
     Terminates by weight descent, leaving only weight <= n monomials.
     """
+    if g < 0:
+        raise ValueError(f"need g >= 0, got g={g}")
     if f.max_index() > g:
         raise ValueError(f"variable index exceeds g={g}")
     if not f.is_zero() and f.degree() is None:

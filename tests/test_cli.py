@@ -347,3 +347,27 @@ def test_back_to_back_requests_match_fresh_processes(capsys):
         fresh = subprocess.run([sys.executable, "-m", "symprod.cli", *argv], env=env,
                                capture_output=True, text=True, check=False)
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_nf_rejects_negative_genus(capsys):
+    # named as betti names it, not as an index beyond g
+    for poly in ("y", "-y^2", "3"):
+        assert run(capsys, "nf", "--g", "-1", "--n", "2", poly) == (
+            2, "", "error: need g >= 0, got g=-1\n"), poly
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    # `symprod relations ... | head`: the reader stops after one line while
+    # the CLI still has far more than a pipe buffer of JSON to write
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["relations", "--g", "8", "--n", "3", "--mode", "minimal_odd", "--format", "json"]
+    proc = subprocess.Popen([sys.executable, "-m", "symprod.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

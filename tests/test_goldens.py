@@ -6,7 +6,7 @@ digest ``sha256(f"exit={code}\\n{stdout}")[:16]`` must equal the one in
 and ``bridge`` job of the benchmark, and the first job of each small-query
 subcommand in its request pool.  One larger bridge job, beyond the
 benchmark's sizes, has its digest pinned here, and so do three ``verify``
-jobs at g = 5 and 6.
+jobs at g = 5 and 6 and one ``relations`` job at g = 10.
 """
 
 import contextlib
@@ -103,3 +103,11 @@ def test_verify_at_scale_matches_recorded_digest(g, n, want):
     # generator times every monomial of the complementary degree
     code, stdout = run_job(["verify", "--g", str(g), "--n", str(n), "--format", "json"])
     assert digest(code, stdout) == want
+
+
+def test_relations_at_scale_matches_recorded_digest():
+    # recorded while each relation was still expanded bracket by bracket
+    # through the general polynomial product
+    argv = ["relations", "--g", "10", "--n", "3", "--mode", "minimal_odd", "--format", "json"]
+    code, stdout = run_job(argv)
+    assert digest(code, stdout) == "8ae964411eef9546"

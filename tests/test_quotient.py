@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -111,6 +112,51 @@ def test_relation_poly_max_weight_term_is_source():
             assert t == m or t.weight < m.weight
 
 
+def relation_poly_reference(m):
+    """Reference `relation_poly`: base * prod_k (y - x_k x'_k) expanded one
+    bracket at a time through the general `Polynomial` product."""
+    paired = sorted(set(m.xs) & set(m.xp))
+    base = Monomial(tuple(i for i in m.xs if i not in paired),
+                    tuple(j for j in m.xp if j not in paired), m.q)
+    poly = Polynomial.monomial(base)
+    for k in paired:
+        bracket = Polynomial({Y: 1, Monomial((k,), (k,), 0): -1})
+        poly = poly * bracket
+    return poly
+
+
+def monomials_of_weight_reference(g, w):
+    """Reference `monomials_of_weight`: every pair of index subsets, kept
+    when its weight is at most w, with q making up the rest."""
+    out = []
+    indices = range(1, g + 1)
+    for xs_size in range(g + 1):
+        for xs in itertools.combinations(indices, xs_size):
+            for xp_size in range(g + 1):
+                for xp in itertools.combinations(indices, xp_size):
+                    m0 = Monomial(xs, xp, 0)
+                    q = w - m0.weight
+                    if q >= 0:
+                        out.append(Monomial(xs, xp, q))
+    out.sort(key=lambda m: m.sort_key)
+    return out
+
+
+def test_closed_forms_match_references_g_le_5():
+    # the same list, and for each monomial the same terms in the same
+    # order: the bridge iterates a relation's terms
+    cases = 0
+    for g in range(6):
+        for w in range(2 * g + 3):
+            monomials = monomials_of_weight(g, w)
+            assert monomials == monomials_of_weight_reference(g, w), (g, w)
+            for m in monomials:
+                got = list(relation_poly(m).terms.items())
+                assert got == list(relation_poly_reference(m).terms.items()), m
+                cases += 1
+    assert cases == 10467
+
+
 # -- generator sets ------------------------------------------------------------
 
 def test_stable_single_generator():
@@ -161,6 +207,43 @@ def test_mode_validation():
         ideal_generators(1, 2, "minimal_odd")  # outside 2..2g-2
     with pytest.raises(InvalidModeError):
         ideal_generators(2, 2, "bogus")
+
+
+def test_ideal_generators_match_references_g_le_6():
+    # every valid mode from n = 2 to the first stable n; the minimal modes
+    # are the full set's q = 0 relations (plus y times the first n/2
+    # blocks in the even case), in the full set's order
+    for g in range(1, 7):
+        for n in range(2, max(2 * g, 3)):
+            full = monomials_of_weight_reference(g, n + 1)
+            for mode in valid_modes(g, n):
+                gens = ideal_generators(g, n, mode)
+                if mode == "full":
+                    expected = full
+                elif mode == "stable":
+                    expected = [mono(range(1, g + 1), range(1, g + 1), n - 2 * g + 1)]
+                else:
+                    expected = [m for m in full if m.q == 0]
+                    if mode == "minimal_even":
+                        expected.append(mono(range(1, n // 2 + 1), range(1, n // 2 + 1), 1))
+                assert gens.monomials == expected, (g, n, mode)
+                assert [list(p.terms.items()) for p in gens.polys] == [
+                    list(relation_poly_reference(m).terms.items()) for m in expected], (g, n, mode)
+
+
+def test_ideal_generators_use_no_general_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("general polynomial product called")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    monkeypatch.setattr("symprod.quotient.monomial_mul", refuse)
+    built = 0
+    for g in range(1, 7):
+        for n in range(2, max(2 * g, 3)):
+            for mode in valid_modes(g, n):
+                assert ideal_generators(g, n, mode).polys
+                built += 1
+    assert built == 62
 
 
 # -- normal forms ---------------------------------------------------------------
