@@ -11,9 +11,11 @@ lattices `verify` certifies reach about 14,000 rows of a handful of
 small entries each at g = 6, and their Hermite forms have no entry wider
 than 4 bits, so exact integers need no modular arithmetic at this scale.
 The Smith form starts from the Hermite form: when every pivot is 1, as in
-every unimodular bridge matrix, the invariants are read off it, and only
-otherwise does it pivot densely, on at most `cols` rows.  The determinant
-pivots densely; nothing in the program calls it.
+every unimodular bridge matrix, the invariants are read off it; otherwise
+Hermite forms of the transpose and of the rows alternate until the matrix
+is diagonal (Kannan and Bachem again), so the Hermite core is the only
+elimination it runs.  The determinant pivots densely; nothing in the
+program calls it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from heapq import heapify, heappop, heappush
 from itertools import compress
+from math import gcd
 
 from .rings import add_terms
 
@@ -167,7 +170,12 @@ def smith(m: Matrix) -> list[int]:
     of the Hermite form is 1, column operations clear each pivot's row to
     its right without touching the rows below, which are zero in the
     pivot's column, so the invariants are rank ones and then zeros.
-    Otherwise the Hermite rows are pivoted densely.
+    Otherwise take Hermite forms of the transpose and of the rows in turn
+    (Kannan and Bachem, 1979) until every row holds one entry.  This ends:
+    the leading pivot is the gcd of its column, then of its row, so it can
+    only shrink, and once it stops shrinking it divides that row and column
+    and both clear; the rest is a smaller matrix.  The remaining diagonal
+    becomes a divisor chain by (d_i, d_j) -> (gcd, lcm) for i < j.
     """
     rows, cols = _check_rectangular(m)
     if rows == 0 or cols == 0:
@@ -176,72 +184,19 @@ def smith(m: Matrix) -> list[int]:
     n_out = min(rows, cols)
     if all(next(filter(None, row)) == 1 for row in work):
         return [1] * len(work) + [0] * (n_out - len(work))
-    a = [row.copy() for row in work]
-    nr, nc = len(a), cols
-    invariants = []
-    top = 0
-    while top < nr and top < nc:
-        piv = _find_pivot(a, top)
-        if piv is None:
-            break
-        pi, pj = piv
-        a[top], a[pi] = a[pi], a[top]
-        for row in a:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            # clear column `top` by Euclidean steps
-            for i in range(top + 1, nr):
-                while a[i][top]:
-                    q = a[i][top] // a[top][top]
-                    if q:
-                        for k in range(nc):
-                            a[i][k] -= q * a[top][k]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-            # clear row `top` likewise
-            for j in range(top + 1, nc):
-                while a[top][j]:
-                    q = a[top][j] // a[top][top]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[top]
-                    if a[top][j]:
-                        for row in a:
-                            row[top], row[j] = row[j], row[top]
-            if all(a[i][top] == 0 for i in range(top + 1, nr)):
-                if all(a[top][j] == 0 for j in range(top + 1, nc)):
-                    break
-        # enforce divisibility: fold any entry the pivot does not divide
-        d = abs(a[top][top])
-        offender = None
-        for i in range(top + 1, nr):
-            for j in range(top + 1, nc):
-                if a[i][j] % d:
-                    offender = (i, j)
-                    break
-            if offender:
-                break
-        if offender is not None:
-            i, _ = offender
-            for k in range(nc):
-                a[top][k] += a[i][k]
-            continue  # re-run elimination at the same corner
-        invariants.append(d)
-        top += 1
-    invariants.extend([0] * (n_out - len(invariants)))
-    return invariants
-
-
-def _find_pivot(a: Matrix, top: int) -> tuple[int, int] | None:
-    best = None
-    for i in range(top, len(a)):
-        for j in range(top, len(a[i])):
-            v = abs(a[i][j])
-            if v and (best is None or v < best[0]):
-                best = (v, i, j)
-    if best is None:
-        return None
-    return best[1], best[2]
+    h = [{j: row[j] for j in compress(range(cols), row)} for row in work]
+    while any(len(row) > 1 for row in h):
+        by_col: dict[int, SparseRow] = {}
+        for i, row in enumerate(h):
+            for j, v in row.items():
+                by_col.setdefault(j, {})[i] = v
+        h = hermite_rows(by_col.values())
+    diag = [v for row in h for v in row.values()]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            d = gcd(diag[i], diag[j])
+            diag[i], diag[j] = d, diag[i] // d * diag[j]
+    return diag + [0] * (n_out - len(diag))
 
 
 def determinant(m: Matrix) -> int:

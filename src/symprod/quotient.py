@@ -65,8 +65,8 @@ class Monomial:
 
     @property
     def weight(self) -> int:
-        a, b, c, q = self.abcq
-        return a + b + 2 * c + q
+        # a + b + 2c + q with a = |xs| - c and b = |xp| - c
+        return len(self.xs) + len(self.xp) + self.q
 
     @property
     def sort_key(self):
@@ -197,55 +197,31 @@ def relation_poly(m: Monomial) -> Polynomial:
     return Polynomial(terms)
 
 
-def _pairs_of_weight(g: int, w: int):
-    # the index-set pairs (xs, xp) = (A + C, B + C) of y-free weight w:
-    # disjoint paired C, x-only A and x'-only B with |A| + |B| + 2|C| == w
+def _pairs_of_weight(g: int, e: int):
+    # every index-set pair (xs, xp) with |xs| + |xp| == e
     indices = range(1, g + 1)
-    for c in range(min(g, w // 2) + 1):
-        for paired in itertools.combinations(indices, c):
-            rest = [i for i in indices if i not in paired]
-            left = w - 2 * c
-            if left > len(rest):
-                continue
-            for a in range(left + 1):
-                for only_x in itertools.combinations(rest, a):
-                    others = [i for i in rest if i not in only_x]
-                    for only_xp in itertools.combinations(others, left - a):
-                        yield (tuple(sorted(only_x + paired)),
-                               tuple(sorted(only_xp + paired)))
-
-
-def _by_degree_then_sets(m: Monomial):
-    # `Monomial.sort_key` for monomials of one weight
-    return m.degree, m.xs, m.xp
+    for a in range(max(0, e - g), min(g, e) + 1):
+        for xs in itertools.combinations(indices, a):
+            for xp in itertools.combinations(indices, e - a):
+                yield xs, xp
 
 
 def monomials_of_weight(g: int, w: int) -> list[Monomial]:
     """Every monomial of weight w in the variables of index <= g, in
-    `Monomial.sort_key` order.
-
-    A monomial is a disjoint paired set C, x-only set A and x'-only set B
-    plus y^q, so the weight-w ones are the triples with
-    |A| + |B| + 2|C| = e <= w, each with q = w - e.  All have weight w,
-    so the order is by degree, then xs, then xp.
-    """
+    `Monomial.sort_key` order: the index-set pairs with |xs| + |xp| = e <= w,
+    each with q = w - e."""
     out = [Monomial(xs, xp, w - e)
            for e in range(w + 1) for xs, xp in _pairs_of_weight(g, e)]
-    out.sort(key=_by_degree_then_sets)
+    out.sort(key=lambda m: m.sort_key)
     return out
 
 
 def monomials_of_degree(g: int, s: int) -> list[Monomial]:
-    out = []
-    indices = range(1, g + 1)
-    for xs_size in range(min(g, s) + 1):
-        for xs in itertools.combinations(indices, xs_size):
-            rest = s - xs_size
-            for xp_size in range(min(g, rest) + 1):
-                if (rest - xp_size) % 2:
-                    continue
-                for xp in itertools.combinations(indices, xp_size):
-                    out.append(Monomial(xs, xp, (rest - xp_size) // 2))
+    """Every monomial of degree s in the variables of index <= g, in
+    `Monomial.sort_key` order: the index-set pairs with |xs| + |xp| = e of
+    the parity of s, each with q = (s - e) / 2."""
+    out = [Monomial(xs, xp, (s - e) // 2)
+           for e in range(s % 2, s + 1, 2) for xs, xp in _pairs_of_weight(g, e)]
     out.sort(key=lambda m: m.sort_key)
     return out
 
@@ -283,7 +259,7 @@ def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
         if (n % 2 == 1) != want_odd:
             raise InvalidModeError(f"{mode} needs n of matching parity, got n={n}")
         monomials = sorted((Monomial(xs, xp, 0) for xs, xp in _pairs_of_weight(g, n + 1)),
-                           key=_by_degree_then_sets)
+                           key=lambda m: m.sort_key)
         if len(monomials) != comb(2 * g, n + 1):
             raise QuotientInvariantError(
                 f"{len(monomials)} degree-{n + 1} relations for g={g}, n={n}, "
@@ -299,10 +275,12 @@ def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
 def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
     """Canonical representative of f modulo the relation ideal.
 
-    Rewrites the maximal-weight monomial of weight >= n+1 first (ties by
-    the monomial order): with no paired block it is itself a relation and
-    drops; otherwise its relation replaces it by strictly smaller weight.
-    Terminates by weight descent, leaving only weight <= n monomials.
+    Rewrites the monomials of weight >= n+1 one weight at a time, from
+    the largest down: one with no paired block is itself a relation and
+    drops; otherwise its relation replaces it by terms of strictly smaller
+    weight, since each block the relation swaps for y lowers the weight by
+    1.  So rewriting one weight-w monomial never touches another of weight
+    w, and after weight n+1 only weight <= n monomials are left.
     """
     if g < 0:
         raise ValueError(f"need g >= 0, got g={g}")
@@ -313,25 +291,19 @@ def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
     if n < 2:
         raise ValueError("need n >= 2")
     work = dict(f.terms)
-    while True:
-        target = None
-        for m in work:
-            if m.weight >= n + 1:
-                if target is None or (m.weight, ) + m.sort_key > (target.weight, ) + target.sort_key:
-                    target = m
-        if target is None:
-            break
-        if target.abcq[2] == 0:
-            del work[target]
-            continue
-        rel = relation_poly(target)
-        eps = rel.terms.get(target, 0)
-        if eps not in (1, -1):
-            raise QuotientInvariantError(
-                f"relation of {target.word()} has leading coefficient {eps}, not +-1")
-        # the relation's target term is eps * target and eps * eps == 1,
-        # so the target cancels itself
-        add_terms(work, rel.terms.items(), -work[target] * eps)
+    for w in range(max((m.weight for m in work), default=0), n, -1):
+        for target in [m for m in work if m.weight == w]:
+            if target.abcq[2] == 0:
+                del work[target]
+                continue
+            rel = relation_poly(target)
+            eps = rel.terms.get(target, 0)
+            if eps not in (1, -1):
+                raise QuotientInvariantError(
+                    f"relation of {target.word()} has leading coefficient {eps}, not +-1")
+            # the relation's target term is eps * target and eps * eps == 1,
+            # so the target cancels itself
+            add_terms(work, rel.terms.items(), -work[target] * eps)
     return Polynomial(work)
 
 
@@ -588,7 +560,7 @@ def parse_poly(text: str, g: int | None = None) -> Polynomial:
     pieces = re.findall(r"[+-][^+-]+", s)
     if "".join(pieces) != s:
         raise PolyParseError(f"cannot tokenize {text!r}")
-    poly = Polynomial()
+    terms: dict[Monomial, int] = {}
     for piece in pieces:
         sign = 1 if piece[0] == "+" else -1
         body = piece[1:]
@@ -602,8 +574,8 @@ def parse_poly(text: str, g: int | None = None) -> Polynomial:
         else:
             coeff, word = 1, body
         mono, word_sign = _parse_word(word, g, piece)
-        poly = poly + Polynomial.monomial(mono, coeff * sign * word_sign)
-    return poly
+        add_terms(terms, ((mono, word_sign),), coeff * sign)
+    return Polynomial(terms)
 
 
 def _parse_word(word: str, g: int | None, context: str) -> tuple[Monomial, int]:

@@ -347,9 +347,3 @@ def load_ring(path) -> Ring:
         except json.JSONDecodeError as e:
             raise RingSpecError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
     return ring_from_dict(doc)
-
-
-def dump_ring(ring: Ring, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(ring_to_dict(ring), f, indent=2)
-        f.write("\n")

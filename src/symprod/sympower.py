@@ -14,7 +14,6 @@ outcome.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -456,9 +455,3 @@ def table_from_dict(ring: Ring, doc: dict) -> StructureTable:
         entry = {by_label[t["gen"]]: int(t["coeff"]) for t in item["result"]}
         table.entries[(by_label[item["left"]], by_label[item["right"]])] = entry
     return table
-
-
-def dump_table(table: StructureTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(table_to_dict(table), f, indent=2)
-        f.write("\n")

@@ -365,7 +365,7 @@ def test_smith_matches_reference_on_unimodular_matrices():
 
 def test_smith_matches_reference_on_conjugated_diag_2_6_0():
     # non-unit invariants: the Hermite pivots cannot all be 1, so these
-    # reach the dense loop
+    # run the alternating Hermite forms
     rng = random.Random(60602)
     d = [[2, 0, 0], [0, 6, 0], [0, 0, 0]]
     for _ in range(40):
@@ -392,8 +392,17 @@ def test_smith_matches_reference_on_shapes():
         elif kind == "sparse":
             m = [[v if rng.random() < 0.25 else 0 for v in row] for row in m]
         cases.append(m)
+    # entries up to +-12: about half have a non-unit Hermite pivot, so they
+    # run the alternating Hermite forms rather than the unit-pivot exit
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        cases.append([[rng.randrange(-12, 13) for _ in range(cols)] for _ in range(rows)])
     for m in cases:
         assert smith(m) == smith_reference(m), m
+    # one invariant 2 in a large unimodular matrix
+    u = random_unimodular(rng, 60, steps=80)
+    u[0] = [2 * v for v in u[0]]
+    assert smith(u) == smith_reference(u) == [1] * 59 + [2]
 
 
 def test_determinant():

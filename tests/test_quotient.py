@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import comb
 
 import pytest
@@ -34,6 +35,7 @@ from symprod.quotient import (
     relation_poly,
     verify_minimality,
 )
+from symprod.quotient import _parse_word
 
 
 def mono(xs=(), xp=(), q=0):
@@ -47,6 +49,14 @@ def test_monomial_type_and_weight():
     assert m.abcq == (1, 1, 1, 4)
     assert m.weight == 1 + 1 + 2 + 4
     assert m.degree == 2 + 2 + 8
+    rng = random.Random(4242)
+    for _ in range(300):
+        g = rng.randrange(0, 8)
+        xs = tuple(sorted(rng.sample(range(1, g + 1), rng.randint(0, g))))
+        xp = tuple(sorted(rng.sample(range(1, g + 1), rng.randint(0, g))))
+        m = Monomial(xs, xp, rng.randrange(0, 5))
+        a, b, c, q = m.abcq
+        assert m.weight == a + b + 2 * c + q, m
 
 
 def test_monomial_mul_signs():
@@ -140,6 +150,29 @@ def monomials_of_weight_reference(g, w):
                         out.append(Monomial(xs, xp, q))
     out.sort(key=lambda m: m.sort_key)
     return out
+
+
+def monomials_of_degree_reference(g, s):
+    """Reference `monomials_of_degree`: every xs, then every xp of a size
+    leaving an even degree for y."""
+    out = []
+    indices = range(1, g + 1)
+    for xs_size in range(min(g, s) + 1):
+        for xs in itertools.combinations(indices, xs_size):
+            rest = s - xs_size
+            for xp_size in range(min(g, rest) + 1):
+                if (rest - xp_size) % 2:
+                    continue
+                for xp in itertools.combinations(indices, xp_size):
+                    out.append(Monomial(xs, xp, (rest - xp_size) // 2))
+    out.sort(key=lambda m: m.sort_key)
+    return out
+
+
+def test_monomials_of_degree_match_reference_g_le_6():
+    for g in range(7):
+        for s in range(2 * g + 5):
+            assert monomials_of_degree(g, s) == monomials_of_degree_reference(g, s), (g, s)
 
 
 def test_closed_forms_match_references_g_le_5():
@@ -307,6 +340,48 @@ def test_top_degree_collapses_to_y_power():
             assert set(nf.terms) <= {Monomial((), (), n)}
         for m in monomials_of_degree(g, 2 * n + 1) + monomials_of_degree(g, 2 * n + 2):
             assert normal_form(Polynomial.monomial(m), g, n).is_zero()
+
+
+def normal_form_reference(f, g, n):
+    """Reference `normal_form`: rewrite the maximal (weight, sort_key)
+    monomial of weight >= n+1 until none is left."""
+    work = dict(f.terms)
+    while True:
+        heavy = [m for m in work if m.weight >= n + 1]
+        if not heavy:
+            return Polynomial(work)
+        target = max(heavy, key=lambda m: (m.weight,) + m.sort_key)
+        if not set(target.xs) & set(target.xp):
+            del work[target]
+            continue
+        rel = relation_poly(target)
+        scale = -work[target] * rel.terms[target]
+        for m, c in rel.terms.items():
+            work[m] = work.get(m, 0) + scale * c
+            if not work[m]:
+                del work[m]
+
+
+def test_normal_form_matches_reference_random():
+    rng = random.Random(8080)
+    cases = 0
+    for g in range(1, 6):
+        for n in range(2, 6):
+            for s in range(n + 1, 2 * n + 3):
+                monos = monomials_of_degree(g, s)
+                for _ in range(3):
+                    p = Polynomial({m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in
+                                    rng.sample(monos, min(rng.randrange(1, 12), len(monos)))})
+                    assert normal_form(p, g, n) == normal_form_reference(p, g, n), (g, n, p)
+                    cases += 1
+    assert cases == 5 * sum(3 * (n + 2) for n in range(2, 6))
+
+
+def test_normal_form_matches_reference_on_many_terms():
+    p = Polynomial({m: 1 for m in monomials_of_degree(8, 6)[:300]})
+    got = normal_form(p, 8, 4)
+    assert got == normal_form_reference(p, 8, 4)
+    assert not got.is_zero()
 
 
 def test_multiply_nf_examples_g1_n2():
@@ -645,6 +720,52 @@ def test_parse_written_order_sign():
     assert parse_poly("x'1.x1") == parse_poly("-1*x1.x'1")
     assert parse_poly("x2.x1") == -1 * parse_poly("x1.x2")
     assert parse_poly("y.x1") == parse_poly("x1.y")
+
+
+def parse_poly_reference(text, g=None):
+    """Reference `parse_poly`: add each parsed term with `Polynomial`
+    addition, one new polynomial per term."""
+    s = text.replace(" ", "")
+    if s[0] not in "+-":
+        s = "+" + s
+    poly = Polynomial()
+    for piece in re.findall(r"[+-][^+-]+", s):
+        sign = 1 if piece[0] == "+" else -1
+        body = piece[1:]
+        if "*" in body:
+            coeff, word = body.split("*", 1)
+        elif body.isdigit():
+            coeff, word = body, "1"
+        else:
+            coeff, word = "1", body
+        m, word_sign = _parse_word(word, g, piece)
+        poly = poly + Polynomial.monomial(m, sign * int(coeff) * word_sign)
+    return poly
+
+
+def test_parse_builds_one_dict(monkeypatch):
+    # cancelling terms, a term re-added after cancelling (it moves to the
+    # end), and reordered words
+    texts = ["x1 + x2 - x1", "x1 - x1 + 2*x1", "x1 + x2 - x1 + 3*x1",
+             "x'2.x1 + x1.x'2 + y", "x1.x'2 - x'2.x1 + x1.x'2",
+             "3*x2.x1 - 2*x1.x2 + x1.x2 + y^2 - y^2 + 0*x3 + 1",
+             "-x'1.x2.x1 + y.x1 - x1.y + x2.x1.x'1"]
+    rng = random.Random(1212)
+    for _ in range(40):
+        words = ["x1", "x2", "x'1", "x'2", "x3.x'3", "y"]
+        pieces = []
+        for _ in range(rng.randrange(1, 8)):
+            word = ".".join(rng.sample(words, rng.randint(1, 3)))
+            pieces.append(f"{rng.choice('+-')}{rng.randrange(0, 4)}*{word}")
+        texts.append("".join(pieces))
+    expected = [list(parse_poly_reference(t).terms.items()) for t in texts]
+
+    def refuse(*args):
+        raise AssertionError("Polynomial.__add__ called")
+
+    monkeypatch.setattr(Polynomial, "__add__", refuse)
+    for text, want in zip(texts, expected):
+        assert list(parse_poly(text).terms.items()) == want, text
 
 
 def test_parse_rejects_repeats_and_junk():
