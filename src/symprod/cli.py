@@ -54,7 +54,8 @@ def json_text(doc) -> str:
     item.  Here the pieces go to one list that is joined once; a plain
     int is ``str`` and a list of them, such as a bridge matrix row, is
     one join.  Tuples are written as lists, as ``json`` writes them;
-    other leaves go to ``json.dumps``.
+    empty containers are written directly, and other leaves (floats,
+    bools, None) go to ``json.dumps``.
     """
     out: list[str] = []
     _write_json(doc, "", out)
@@ -84,6 +85,10 @@ def _write_json(obj, indent: str, out: list[str]) -> None:
             _write_json(v, inner, out)
             head = ",\n" + inner
         out.append(f"\n{indent}]")
+    elif isinstance(obj, dict):
+        out.append("{}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[]")
     else:
         out.append(json.dumps(obj))
 

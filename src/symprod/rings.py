@@ -179,6 +179,24 @@ class Ring:
 
     # -- validation ----------------------------------------------------
 
+    def commutativity_violations(self) -> list[Violation]:
+        """Ordered generator pairs (i, j) whose product(j, i) is not
+        (-1)^(|i||j|) product(i, j); an odd square must therefore vanish."""
+        violations = []
+        n = len(self.generators)
+        deg = self._degrees
+        for i in range(n):
+            for j in range(n):
+                ij = self.products.get((i, j), {})
+                ji = self.products.get((j, i), {})
+                sign = -1 if (deg[i] % 2 and deg[j] % 2) else 1
+                if ji != {k: sign * c for k, c in ij.items()}:
+                    violations.append(Violation(
+                        "graded commutativity", (self.slot_name(i), self.slot_name(j)),
+                        f"product({self.slot_name(j)},{self.slot_name(i)}) != "
+                        f"{'-' if sign < 0 else ''}product({self.slot_name(i)},{self.slot_name(j)})"))
+        return violations
+
     def validate(self) -> ValidationReport:
         """Check the structure-constant table against the graded ring axioms."""
         violations = []
@@ -193,16 +211,7 @@ class Ring:
                         "degree additivity", (self.slot_name(i), self.slot_name(j)),
                         f"term {self.slot_name(k)} has degree {deg[k]}, expected {want}"))
 
-        for i in range(n):
-            for j in range(n):
-                ij = self.products.get((i, j), {})
-                ji = self.products.get((j, i), {})
-                sign = -1 if (deg[i] % 2 and deg[j] % 2) else 1
-                if ji != {k: sign * c for k, c in ij.items()}:
-                    violations.append(Violation(
-                        "graded commutativity", (self.slot_name(i), self.slot_name(j)),
-                        f"product({self.slot_name(j)},{self.slot_name(i)}) != "
-                        f"{'-' if sign < 0 else ''}product({self.slot_name(i)},{self.slot_name(j)})"))
+        violations += self.commutativity_violations()
 
         for i in range(n):
             if deg[i] % 2 and self.products.get((i, i)):

@@ -61,6 +61,12 @@ class BasisIndex:
             raise ValueError(f"even positions must strictly increase: {self.even}")
         if any(m < 1 for _, m in self.even) or self.pad < 0:
             raise ValueError("multiplicities must be >= 1 and pad >= 0")
+        # indices key every table, orbit and label cache: hash them once,
+        # to the value the generated __hash__ would give
+        object.__setattr__(self, "_hash", hash((self.odd, self.even, self.pad)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def arity(self) -> int:
@@ -360,7 +366,14 @@ class IndexProduct:
 
 
 class StructureTable:
-    """Integer multiplication table over the basis, truncated by degree."""
+    """Integer multiplication table over the basis, truncated by degree.
+
+    ``entries`` holds every ordered pair (i, j) with |i| + |j| <= the
+    bound, in basis order.  When the ring's generators commute up to the
+    Koszul sign, so does the invariant subring (the paper's Theorem 1), and
+    each unordered pair is multiplied once: (j, i) is (i, j) with its
+    values negated when |i||j| is odd.  Otherwise both orders are computed.
+    """
 
     def __init__(self, ring: Ring, n: int, max_degree: int):
         self.ring = ring
@@ -369,12 +382,20 @@ class StructureTable:
         self.basis = [idx for idx in enumerate_basis(ring, n)
                       if idx.degree(ring) <= max_degree]
         self.entries: dict[tuple[BasisIndex, BasisIndex], dict[BasisIndex, int]] = {}
+        entries = self.entries
         product = IndexProduct(ring)
+        mirror = not ring.commutativity_violations()
         degrees = [idx.degree(ring) for idx in self.basis]
-        for i, di in zip(self.basis, degrees):
-            for j, dj in zip(self.basis, degrees):
-                if di + dj <= max_degree:
-                    self.entries[(i, j)] = product(i, j)
+        for a, (i, di) in enumerate(zip(self.basis, degrees)):
+            for b, (j, dj) in enumerate(zip(self.basis, degrees)):
+                if di + dj > max_degree:
+                    continue
+                if not mirror or a <= b:
+                    entries[(i, j)] = product(i, j)
+                elif di * dj % 2:
+                    entries[(i, j)] = {k: -c for k, c in entries[(j, i)].items()}
+                else:
+                    entries[(i, j)] = entries[(j, i)]
 
     def product(self, i: BasisIndex, j: BasisIndex) -> dict[BasisIndex, int]:
         return self.entries[(i, j)]

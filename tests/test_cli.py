@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symprod.cli import json_text, main
-from symprod.fixtures import packaged_fixture_dir
-from symprod.rings import ring_from_dict
-from symprod.sympower import table_from_dict
+from symprod.fixtures import packaged_fixture_dir, resolve_spec_path
+from symprod.rings import load_ring, ring_from_dict
+from symprod.sympower import structure_constants, table_from_dict, table_to_dict
 from symprod.fixtures import sphere2_ring
 
 
@@ -298,6 +298,21 @@ json_docs = st.recursive(
 @example(doc=[-0.0, float("nan"), float("inf"), float("-inf"), "", None])
 def test_json_text_equals_json_dumps(doc):
     assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_text_of_a_table_never_calls_json_dumps(monkeypatch):
+    # a table holds only strings, ints and containers, many of them empty
+    # (odd, even, result): none of it should reach json.dumps
+    ring = load_ring(resolve_spec_path("surface_g2.ring"))
+    doc = table_to_dict(structure_constants(ring, 4, 8))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("symprod.cli.json.dumps", refuse)
+        text = json_text(doc)
+    assert text == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_every_subcommand_json_equals_json_dumps(capsys, monkeypatch):

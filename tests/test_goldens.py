@@ -6,7 +6,8 @@ digest ``sha256(f"exit={code}\\n{stdout}")[:16]`` must equal the one in
 and ``bridge`` job of the benchmark, and the first job of each small-query
 subcommand in its request pool.  One larger bridge job, beyond the
 benchmark's sizes, has its digest pinned here, and so do three ``verify``
-jobs at g = 5 and 6 and one ``relations`` job at g = 10.
+jobs at g = 5 and 6, one ``relations`` job at g = 10 and two ``sym-table``
+jobs (``surface_g2`` at n = 6, ``surface_g3`` at n = 4).
 """
 
 import contextlib
@@ -102,6 +103,18 @@ def test_verify_at_scale_matches_recorded_digest(g, n, want):
     # recorded while each degree's ideal lattice was still spanned by every
     # generator times every monomial of the complementary degree
     code, stdout = run_job(["verify", "--g", str(g), "--n", str(n), "--format", "json"])
+    assert digest(code, stdout) == want
+
+
+@pytest.mark.parametrize("spec, n, max_degree, want", [
+    ("surface_g2.ring", 6, 12, "702339ee285b885a"),
+    ("surface_g3.ring", 4, 8, "b25364bef6a19df4"),
+])
+def test_table_at_scale_matches_recorded_digest(spec, n, max_degree, want):
+    # recorded while both orders of every pair went through the kernel
+    argv = ["sym-table", spec, "--n", str(n), "--max-degree", str(max_degree),
+            "--format", "json"]
+    code, stdout = run_job(argv)
     assert digest(code, stdout) == want
 
 

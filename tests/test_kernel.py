@@ -50,6 +50,12 @@ def assert_same_table(ring, n, max_degree):
     assert all(list(got[key]) == list(want[key]) for key in want)
 
 
+# the torus with a2*a1 = +b: its generators do not commute up to sign, so
+# the table cannot mirror (i, j) into (j, i) and must match the oracle anyway
+NONCOMMUTATIVE_TORUS = Ring(
+    [Generator("a1", 1), Generator("a2", 1), Generator("b", 2)],
+    {("a1", "a2"): {"b": 1}, ("a2", "a1"): {"b": 1}}, name="noncommutative_torus")
+
 GRID = [
     (fixtures.torus_ring(), 2, 4),
     (fixtures.torus_ring(), 3, 6),
@@ -65,6 +71,8 @@ GRID = [
     (fixtures.sullivan_ring(3), 2, 6),
     (fixtures.s2xs2_ring(), 3, 12),
     (fixtures.cp2_conn_cp2bar_ring(), 3, 12),
+    (NONCOMMUTATIVE_TORUS, 2, 4),
+    (NONCOMMUTATIVE_TORUS, 3, 6),
 ]
 
 
@@ -142,6 +150,30 @@ def test_kernel_rejects_arity_mismatch():
     j = enumerate_basis(ring, 3)[0]
     with pytest.raises(ValueError):
         product(i, j)
+
+
+# -- one product per unordered pair -------------------------------------------
+
+@pytest.mark.parametrize("ring,n,max_degree,calls,entries", [
+    (fixtures.surface_ring(2), 4, 8, 623, 1219),
+    (fixtures.torus_ring(), 2, 4, 14, 24),
+    # no graded commutativity: every ordered pair goes through the kernel
+    (NONCOMMUTATIVE_TORUS, 2, 4, 24, 24),
+    (NONCOMMUTATIVE_TORUS, 3, 6, 60, 60),
+], ids=["surface_g2-n4-d8", "torus-n2-d4", "noncommutative-n2-d4", "noncommutative-n3-d6"])
+def test_kernel_calls_per_table(monkeypatch, ring, n, max_degree, calls, entries):
+    # a graded-commutative table multiplies each unordered pair once
+    counted = 0
+    call = IndexProduct.__call__
+
+    def counting(self, i, j):
+        nonlocal counted
+        counted += 1
+        return call(self, i, j)
+
+    monkeypatch.setattr(IndexProduct, "__call__", counting)
+    table = structure_constants(ring, n, max_degree)
+    assert (counted, len(table.entries)) == (calls, entries)
 
 
 # -- random valid presentations ----------------------------------------------

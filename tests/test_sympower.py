@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -351,3 +353,19 @@ def test_index_json_round_trip(torus):
         doc = index_to_dict(torus, index)
         assert index_from_dict(torus, doc) == index
         assert set(doc) == {"odd", "even", "pad"}
+
+
+def test_index_hash_is_the_field_tuple_hash():
+    ring = fixtures.surface_ring(2)
+    for index in enumerate_basis(ring, 4):
+        assert hash(index) == hash((index.odd, index.even, index.pad))
+        twin = BasisIndex(tuple(list(index.odd)), tuple(list(index.even)), index.pad)
+        assert twin == index and hash(twin) == hash(index)
+        again = pickle.loads(pickle.dumps(index))
+        assert again == index and hash(again) == hash(index)
+    index = idx(ring, odd=["a1"], even=[("b", 1)], pad=2)
+    moved = dataclasses.replace(index, pad=1)
+    assert moved == idx(ring, odd=["a1"], even=[("b", 1)], pad=1)
+    assert hash(moved) == hash((moved.odd, moved.even, 1))
+    with pytest.raises(ValueError):
+        dataclasses.replace(index, pad=-1)
