@@ -71,8 +71,17 @@ def _write_json(obj, indent: str, out: list[str]) -> None:
     elif isinstance(obj, dict) and obj:
         head = "{\n" + inner
         for k in sorted(obj):
-            out.append(f"{head}{encode_basestring_ascii(k)}: ")
-            _write_json(obj[k], inner, out)
+            v = obj[k]
+            key = f"{head}{encode_basestring_ascii(k)}: "
+            # str and int leaves go into the key's piece; bool, a subclass
+            # of int, goes through json.dumps
+            if type(v) is str:
+                out.append(key + encode_basestring_ascii(v))
+            elif type(v) is int:
+                out.append(f"{key}{v}")
+            else:
+                out.append(key)
+                _write_json(v, inner, out)
             head = ",\n" + inner
         out.append(f"\n{indent}}}")
     elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {int}:

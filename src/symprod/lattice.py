@@ -151,8 +151,16 @@ def _reduce(row: SparseRow, pivots: dict[int, SparseRow]) -> int | None:
 
 def in_lattice(v: SparseRow, basis: list[SparseRow]) -> bool:
     """Is the sparse row v in the lattice of a `hermite_rows` basis?"""
-    row = {j: x for j, x in v.items() if x}
-    return _reduce(row, {min(p): p for p in basis}) is None
+    return all_in_lattice([v], basis)
+
+
+def all_in_lattice(vectors: Iterable[SparseRow], basis: list[SparseRow]) -> bool:
+    """Is every sparse row of vectors in the lattice of a `hermite_rows`
+    basis?  One pivot map serves them all; the check stops at the first
+    row left nonzero."""
+    pivots = {min(p): p for p in basis}
+    return all(_reduce({j: x for j, x in v.items() if x}, pivots) is None
+               for v in vectors)
 
 
 def rank(m: Matrix) -> int:

@@ -454,28 +454,35 @@ def ideal_bases(gens: GeneratorSet, g: int, top: int) -> list[list[lattice.Spars
         if poly.max_index() > g:
             raise ValueError(f"variable index exceeds g={g}")
         by_degree.setdefault(d, []).append(poly)
-    bits = [1 << i for i in range(2 * g)]
     bases: list[list[lattice.SparseRow]] = []
     for s in range(top + 1):
-        pos = _columns(g, s)[1]
-        rows = []
-        if s >= 1:
-            masks = _columns(g, s - 1)[0]
-            for b in bases[s - 1]:
-                terms = [(masks[j], c) for j, c in b.items()]
-                for bit in bits:
-                    below = bit - 1
-                    row = {pos[t | bit]: -c if (t & below).bit_count() & 1 else c
-                           for t, c in terms if not t & bit}
-                    if row:
-                        rows.append(row)
-        if s >= 2:
-            masks = _columns(g, s - 2)[0]
-            rows += [{pos[masks[j]]: c for j, c in b.items()} for b in bases[s - 2]]
-        for poly in by_degree.get(s, ()):
-            rows.append(_row(poly, g, pos))
-        bases.append(lattice.hermite_rows(rows))
+        bases.append(_degree_basis(g, s, bases, by_degree.get(s, ())))
     return bases
+
+
+def _degree_basis(g: int, s: int, bases: list[list[lattice.SparseRow]],
+                  polys) -> list[lattice.SparseRow]:
+    # one step of `ideal_bases`: B_s from B_{s-1} and B_{s-2}, the last two
+    # of bases = [B_0, ..., B_{s-1}], and the degree-s generators polys
+    pos = _columns(g, s)[1]
+    rows = []
+    if s >= 1:
+        masks = _columns(g, s - 1)[0]
+        bits = [1 << i for i in range(2 * g)]
+        for b in bases[s - 1]:
+            terms = [(masks[j], c) for j, c in b.items()]
+            for bit in bits:
+                below = bit - 1
+                row = {pos[t | bit]: -c if (t & below).bit_count() & 1 else c
+                       for t, c in terms if not t & bit}
+                if row:
+                    rows.append(row)
+    if s >= 2:
+        masks = _columns(g, s - 2)[0]
+        rows += [{pos[masks[j]]: c for j, c in b.items()} for b in bases[s - 2]]
+    for poly in polys:
+        rows.append(_row(poly, g, pos))
+    return lattice.hermite_rows(rows)
 
 
 def ideals_equal_by_degree(a: GeneratorSet, b: GeneratorSet, g: int,
@@ -507,6 +514,29 @@ class MinimalityReport:
         return bool(checks) and all(checks)
 
 
+def _degrees_equal(small: GeneratorSet, full: GeneratorSet, g: int,
+                   bases: list[list[lattice.SparseRow]]) -> list[tuple[int, bool]]:
+    """`ideals_equal_by_degree(small, full, g, top)`, given small's Hermite
+    bases B_0..B_top: one-sided when small is a subset of full, two-sided
+    otherwise or when a full generator is left nonzero (see
+    `verify_minimality`)."""
+    top = len(bases) - 1
+    theirs = dict(zip(full.monomials, full.polys))
+    mine = dict(zip(small.monomials, small.polys))
+    aligned = all(len(gens.monomials) == len(gens.polys) for gens in (small, full))
+    if aligned and all(theirs.get(m) == p for m, p in zip(small.monomials, small.polys)):
+        by_degree: dict[int, list[Polynomial]] = {}
+        for m, p in zip(full.monomials, full.polys):
+            d = p.degree()
+            if mine.get(m) != p and d is not None and d <= top:
+                by_degree.setdefault(d, []).append(p)
+        if all(lattice.all_in_lattice(
+                (_row(p, g, _columns(g, d)[1]) for p in polys), bases[d])
+               for d, polys in by_degree.items()):
+            return [(s, True) for s in range(top + 1)]
+    return ideals_equal_by_degree(small, full, g, top)
+
+
 def verify_minimality(g: int, n: int) -> MinimalityReport:
     """Certify the minimal generating set of the relation ideal.
 
@@ -515,30 +545,42 @@ def verify_minimality(g: int, n: int) -> MinimalityReport:
     outside the ideal they generate, and the minimal set spans the same
     ideal as the full set in every degree up to 2n.  For n >= 2g-1 the
     single stable relation is checked against the full set instead.
+
+    One propagation serves every check: the Hermite bases B_0..B_2n of the
+    minimal (or stable) set.  Each of its relations is the full set's
+    relation of the same weight-(n+1) monomial, so its ideal lies inside
+    the full one, and equality up to degree 2n holds exactly when every
+    full generator of degree d <= 2n reduces to zero against B_d, with one
+    pivot map per degree; the per-degree flags are then all True.  The subset
+    is checked on the monomials and their relations; when it fails, or a
+    full generator is left nonzero, the flags come from the two-sided
+    `ideals_equal_by_degree`.  The q0 relations (the ones with no y) are
+    the minimal set's generators of degree n+1, and it has none below, so
+    q0's rank is |B_{n+1}|, and for even n q0's basis in degree n+2 is one
+    propagation step from B_{n+1} and B_n with no generator added.  The
+    extra relation is the one generator with a y; a set without it fails.
     """
     if g < 1 or n < 2:
         raise ValueError(f"need g >= 1 and n >= 2, got g={g}, n={n}")
     full = ideal_generators(g, n, "full")
     if n >= 2 * g - 1:
         stable = ideal_generators(g, n, "stable")
-        return MinimalityReport(
-            g, n, "stable",
-            degrees_equal=ideals_equal_by_degree(stable, full, g, 2 * n))
+        bases = ideal_bases(stable, g, 2 * n)
+        return MinimalityReport(g, n, "stable",
+                                degrees_equal=_degrees_equal(stable, full, g, bases))
     mode = "minimal_odd" if n % 2 else "minimal_even"
     minimal = ideal_generators(g, n, mode)
-    q0 = GeneratorSet("q0", [m for m in minimal.monomials if m.q == 0],
-                      [p for m, p in zip(minimal.monomials, minimal.polys)
-                       if m.q == 0])
-    # every q0 generator has degree n+1, so B_{n+1} is their span
-    q0_bases = ideal_bases(q0, g, n + 2 if mode == "minimal_even" else n + 1)
+    bases = ideal_bases(minimal, g, 2 * n)
     report = MinimalityReport(
         g, n, mode,
-        rank_q0=len(q0_bases[n + 1]),
+        rank_q0=len(bases[n + 1]),
         expected_rank=comb(2 * g, n + 1),
-        degrees_equal=ideals_equal_by_degree(minimal, full, g, 2 * n))
+        degrees_equal=_degrees_equal(minimal, full, g, bases))
     if mode == "minimal_even":
-        extra = _row(minimal.polys[-1], g, _columns(g, n + 2)[1])
-        report.extra_relation_outside = not lattice.in_lattice(extra, q0_bases[n + 2])
+        q0_basis = _degree_basis(g, n + 2, bases[:n + 2], ())
+        extra = next((p for m, p in zip(minimal.monomials, minimal.polys) if m.q), None)
+        report.extra_relation_outside = extra is not None and not lattice.in_lattice(
+            _row(extra, g, _columns(g, n + 2)[1]), q0_basis)
     return report
 
 

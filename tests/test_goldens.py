@@ -5,7 +5,7 @@ digest ``sha256(f"exit={code}\\n{stdout}")[:16]`` must equal the one in
 ``perfbench/goldens.json``.  Covered: every fixed ``sym-table``, ``verify``
 and ``bridge`` job of the benchmark, and the first job of each small-query
 subcommand in its request pool.  One larger bridge job, beyond the
-benchmark's sizes, has its digest pinned here, and so do three ``verify``
+benchmark's sizes, has its digest pinned here, and so do five ``verify``
 jobs at g = 5 and 6, one ``relations`` job at g = 10 and two ``sym-table``
 jobs (``surface_g2`` at n = 6, ``surface_g3`` at n = 4).
 """
@@ -102,6 +102,15 @@ def test_bridge_g4_n5_matches_recorded_digest():
 def test_verify_at_scale_matches_recorded_digest(g, n, want):
     # recorded while each degree's ideal lattice was still spanned by every
     # generator times every monomial of the complementary degree
+    code, stdout = run_job(["verify", "--g", str(g), "--n", str(n), "--format", "json"])
+    assert digest(code, stdout) == want
+
+
+@pytest.mark.parametrize("g, n, want", [(6, 5, "a2b3ce2db92caaef"),
+                                        (6, 6, "e2396831b8357baa")])
+def test_verify_beyond_benchmark_matches_recorded_digest(g, n, want):
+    # recorded while `verify` still built the full set's Hermite bases
+    # and compared them with the minimal set's degree by degree
     code, stdout = run_job(["verify", "--g", str(g), "--n", str(n), "--format", "json"])
     assert digest(code, stdout) == want
 

@@ -5,12 +5,13 @@ from math import comb
 
 import pytest
 
-from symprod import lattice
+from symprod import lattice, quotient
 from symprod.quotient import (
     ONE,
     Y,
     GeneratorSet,
     InvalidModeError,
+    MinimalityReport,
     Monomial,
     NonHomogeneousError,
     PolyParseError,
@@ -35,7 +36,7 @@ from symprod.quotient import (
     relation_poly,
     verify_minimality,
 )
-from symprod.quotient import _parse_word
+from symprod.quotient import _columns, _parse_word, _row
 
 
 def mono(xs=(), xp=(), q=0):
@@ -657,6 +658,150 @@ def test_verify_minimality_redirects_to_stable():
     report = verify_minimality(2, 3)  # n = 2g-1 boundary
     assert report.case == "stable"
     assert report.ok
+
+
+def verify_minimality_reference(g, n):
+    # three propagations: q0's bases, and the full and minimal (or stable)
+    # sets' bases compared degree by degree
+    full = quotient.ideal_generators(g, n, "full")
+    if n >= 2 * g - 1:
+        stable = quotient.ideal_generators(g, n, "stable")
+        return MinimalityReport(
+            g, n, "stable",
+            degrees_equal=ideals_equal_by_degree(stable, full, g, 2 * n))
+    mode = "minimal_odd" if n % 2 else "minimal_even"
+    minimal = quotient.ideal_generators(g, n, mode)
+    q0 = GeneratorSet("q0", [m for m in minimal.monomials if m.q == 0],
+                      [p for m, p in zip(minimal.monomials, minimal.polys)
+                       if m.q == 0])
+    q0_bases = ideal_bases(q0, g, n + 2 if mode == "minimal_even" else n + 1)
+    report = MinimalityReport(
+        g, n, mode,
+        rank_q0=len(q0_bases[n + 1]),
+        expected_rank=comb(2 * g, n + 1),
+        degrees_equal=ideals_equal_by_degree(minimal, full, g, 2 * n))
+    if mode == "minimal_even":
+        extra = _row(minimal.polys[-1], g, _columns(g, n + 2)[1])
+        report.extra_relation_outside = not lattice.in_lattice(extra, q0_bases[n + 2])
+    return report
+
+
+def test_verify_minimality_matches_reference():
+    cases = [(g, n) for g in range(1, 5) for n in range(2, 2 * g + 2)] + [(5, 4), (5, 5)]
+    for g, n in cases:
+        report = verify_minimality(g, n)
+        assert report == verify_minimality_reference(g, n), (g, n)
+        assert report.ok, (g, n)
+    assert len(cases) == 2 + 4 + 6 + 8 + 2
+
+
+def two_sided_calls(monkeypatch):
+    # count the fallbacks to the two-sided comparison
+    calls = []
+    two_sided = quotient.ideals_equal_by_degree
+
+    def counting(a, b, g, top):
+        calls.append((g, top))
+        return two_sided(a, b, g, top)
+
+    monkeypatch.setattr(quotient, "ideals_equal_by_degree", counting)
+    return calls
+
+
+def patch_generators(monkeypatch, mode, replace):
+    # ideal_generators with mode's set passed through replace
+    real = quotient.ideal_generators
+
+    def patched(g, n, m):
+        gens = real(g, n, m)
+        return replace(gens) if m == mode else gens
+
+    monkeypatch.setattr(quotient, "ideal_generators", patched)
+
+
+def test_verify_minimality_one_sided_when_it_passes(monkeypatch):
+    calls = two_sided_calls(monkeypatch)
+    for g, n in [(3, 4), (3, 3), (2, 4), (4, 5)]:
+        report = verify_minimality(g, n)
+        assert report.degrees_equal == [(s, True) for s in range(2 * n + 1)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("cut, failing, rank_q0, extra_outside",
+                         [(0, [5], 5, True), (6, [6, 8], 6, False)])
+def test_verify_minimality_falls_back_when_a_generator_is_missing(
+        monkeypatch, cut, failing, rank_q0, extra_outside):
+    # the (3,4) minimal set short of its first generator, then of its extra
+    # one: each spans a smaller ideal, and the flags are the two-sided ones
+    full = ideal_generators(3, 4, "full")
+    short = without(ideal_generators(3, 4, "minimal_even"), cut)
+    assert len(short.polys) == comb(6, 5)
+    patch_generators(monkeypatch, "minimal_even", lambda gens: short)
+    calls = two_sided_calls(monkeypatch)
+    report = verify_minimality(3, 4)
+    assert calls == [(3, 8)]
+    assert report.degrees_equal == ideals_equal_by_degree(short, full, 3, 8)
+    assert [s for s, flag in report.degrees_equal if not flag] == failing
+    assert (report.rank_q0, report.extra_relation_outside) == (rank_q0, extra_outside)
+    assert not report.ok
+
+
+def test_verify_minimality_two_sided_when_not_a_subset(monkeypatch):
+    # the stable set against the full set short of its first generator,
+    # which is the stable one: I_stable is not inside that ideal, although
+    # every generator of that set reduces to zero against the stable bases
+    stable_24 = ideal_generators(2, 4, "stable")
+    cut_24 = without(ideal_generators(2, 4, "full"), 0)
+    assert stable_24.monomials[0] not in cut_24.monomials
+    patch_generators(monkeypatch, "full", lambda gens: cut_24)
+    calls = two_sided_calls(monkeypatch)
+    report = verify_minimality(2, 4)
+    assert calls == [(2, 8)]
+    assert report.degrees_equal == ideals_equal_by_degree(stable_24, cut_24, 2, 8)
+    assert [s for s, flag in report.degrees_equal if not flag] == [6]
+
+
+def test_verify_minimality_compares_relations_not_just_monomials(monkeypatch):
+    # the stable monomial with the constant 1 as its relation: the whole
+    # ring, so it holds every full generator, yet no degree of the full
+    # ideal up to 2n is everything
+    m = ideal_generators(2, 4, "stable").monomials[0]
+    unit = GeneratorSet("stable", [m], [Polynomial.monomial(ONE)])
+    full_24 = ideal_generators(2, 4, "full")
+    patch_generators(monkeypatch, "stable", lambda gens: unit)
+    calls = two_sided_calls(monkeypatch)
+    report = verify_minimality(2, 4)
+    assert calls == [(2, 8)]
+    assert report.degrees_equal == ideals_equal_by_degree(unit, full_24, 2, 8)
+    assert not any(flag for _, flag in report.degrees_equal)
+
+
+def test_verify_minimality_work_counts(monkeypatch):
+    # (Hermite forms, rows handed to them) per `verify`: one propagation
+    # of the minimal or stable set, plus q0's degree n+2 step for even n;
+    # the three propagations of the reference take 25/3,559, 29/3,620,
+    # 25/515 and 22/488, and 35/132,736 at (6,6)
+    expected = {(4, 4): (10, 1839), (4, 5): (11, 1691), (3, 4): (10, 245),
+                (3, 5): (11, 216), (6, 6): (14, 68216)}
+    reference = {(4, 4): (25, 3559), (4, 5): (29, 3620), (3, 4): (25, 515),
+                 (3, 5): (22, 488)}
+    hermite_rows = lattice.hermite_rows
+    seen = []
+
+    def counting(rows):
+        rows = list(rows)
+        seen.append(len(rows))
+        return hermite_rows(rows)
+
+    monkeypatch.setattr(lattice, "hermite_rows", counting)
+    for (g, n), counts in expected.items():
+        seen.clear()
+        verify_minimality(g, n)
+        assert (len(seen), sum(seen)) == counts, (g, n)
+    for (g, n), counts in reference.items():
+        seen.clear()
+        verify_minimality_reference(g, n)
+        assert (len(seen), sum(seen)) == counts, (g, n)
 
 
 def test_stable_ideal_equals_full_g1_n2():
