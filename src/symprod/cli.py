@@ -36,6 +36,7 @@ from .sympower import (
     enumerate_basis,
     index_to_dict,
     structure_constants,
+    table_layout,
     table_to_dict,
 )
 
@@ -102,6 +103,39 @@ def _write_json(obj, indent: str, out: list[str]) -> None:
         out.append(json.dumps(obj))
 
 
+def table_json(table) -> str:
+    """Exactly ``json_text(table_to_dict(table))``, written straight from
+    the table.
+
+    Each label is quoted once, and so is the tail of its ``"gen"`` item;
+    each product entry is one piece.  A graded-commutative table shares
+    one result dict between (i, j) and (j, i), and that dict is sorted
+    and written once.
+    """
+    head, labels, in_order = table_layout(table)
+    quoted = {idx: encode_basestring_ascii(label) for idx, label in labels.items()}
+    tails = {idx: f',\n          "gen": {q}\n        }}' for idx, q in quoted.items()}
+    lefts = {idx: f'{{\n      "left": {q},\n      "result": ' for idx, q in quoted.items()}
+    rights = {idx: f',\n      "right": {q}\n    }}' for idx, q in quoted.items()}
+    results: dict[int, str] = {}  # by id of a result dict the table holds
+    products = []
+    for (i, j), entry in table.entries.items():
+        if not entry:
+            result = "[]"
+        elif (result := results.get(id(entry))) is None:
+            items = ",\n        ".join([f'{{\n          "coeff": {c}{tails[k]}'
+                                        for k, c in in_order(entry)])
+            result = results[id(entry)] = f"[\n        {items}\n      ]"
+        products.append(f"{lefts[i]}{result}{rights[j]}")
+    out = ['{\n  "generators": ']
+    _write_json(head["generators"], "  ", out)
+    out.append(f',\n  "max_degree": {head["max_degree"]},\n  "n": {head["n"]},'
+               f'\n  "name": {encode_basestring_ascii(head["name"])},\n  "products": ')
+    out.append("[\n    " + ",\n    ".join(products) + "\n  ]" if products else "[]")
+    out.append("\n}")
+    return "".join(out)
+
+
 def _emit(args, text_fn, doc):
     if args.format == "json":
         print(json_text(doc))
@@ -155,18 +189,15 @@ def cmd_sym_basis(args) -> int:
 def cmd_sym_table(args) -> int:
     ring = load_ring(resolve_spec_path(args.spec))
     table = structure_constants(ring, args.n, args.max_degree)
+    if args.format == "json":
+        print(table_json(table))
+        return EXIT_OK
     doc = table_to_dict(table)
-
-    def text(doc):
-        labels = {}
-        for item in doc["generators"]:
-            labels[item["name"]] = item["degree"]
-            print(f"basis {item['name']}  degree={item['degree']}")
-        for entry in doc["products"]:
-            rhs = " ".join(f"{t['coeff']:+d}*{t['gen']}" for t in entry["result"]) or "0"
-            print(f"{entry['left']} * {entry['right']} = {rhs}")
-
-    _emit(args, text, doc)
+    for item in doc["generators"]:
+        print(f"basis {item['name']}  degree={item['degree']}")
+    for entry in doc["products"]:
+        rhs = " ".join(f"{t['coeff']:+d}*{t['gen']}" for t in entry["result"]) or "0"
+        print(f"{entry['left']} * {entry['right']} = {rhs}")
     return EXIT_OK
 
 

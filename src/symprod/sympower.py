@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .rings import Ring, add_terms
+from .rings import Ring, RingSpecError, add_terms
 from .tensors import (
     TensorElement,
     has_repeated_odd,
@@ -434,10 +434,25 @@ def index_from_dict(ring: Ring, doc: dict) -> BasisIndex:
     return BasisIndex(odd, even, int(doc["pad"]))
 
 
-def table_to_dict(table: StructureTable) -> dict:
+def table_layout(table: StructureTable):
+    """What a written table is made of, decided in one place for every
+    writer: the document without its products, each basis class's label,
+    and a function listing an entry's items in written order (a stable
+    sort on the label).  A label is a generator's name in the written
+    table, so two classes with one label raise ``RingSpecError``.
+    """
     ring = table.ring
-    labels = {idx: idx.label(ring) for idx in table.basis}
-    doc = {
+    labels: dict[BasisIndex, str] = {}
+    owner: dict[str, BasisIndex] = {}
+    for idx in table.basis:
+        label = labels[idx] = idx.label(ring)
+        first = owner.setdefault(label, idx)
+        if first is not idx:
+            raise RingSpecError(
+                f"basis classes {index_to_dict(ring, first)} and "
+                f"{index_to_dict(ring, idx)} have the same label {label!r}; "
+                "rename a generator")
+    head = {
         "name": f"sym{table.n}_{ring.name or 'ring'}",
         "n": table.n,
         "max_degree": table.max_degree,
@@ -446,16 +461,22 @@ def table_to_dict(table: StructureTable) -> dict:
              "index": index_to_dict(ring, idx)}
             for idx in table.basis
         ],
-        "products": [],
     }
-    for (i, j), entry in table.entries.items():
-        doc["products"].append({
-            "left": labels[i],
-            "right": labels[j],
-            "result": [{"gen": labels[k], "coeff": c}
-                       for k, c in sorted(entry.items(),
-                                          key=lambda kv: labels[kv[0]])],
-        })
+
+    def in_order(entry: dict[BasisIndex, int]) -> list[tuple[BasisIndex, int]]:
+        return sorted(entry.items(), key=lambda kv: labels[kv[0]])
+
+    return head, labels, in_order
+
+
+def table_to_dict(table: StructureTable) -> dict:
+    doc, labels, in_order = table_layout(table)
+    doc["products"] = [
+        {"left": labels[i],
+         "right": labels[j],
+         "result": [{"gen": labels[k], "coeff": c} for k, c in in_order(entry)]}
+        for (i, j), entry in table.entries.items()
+    ]
     return doc
 
 

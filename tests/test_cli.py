@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symprod.cli import json_text, main
+from symprod.cli import json_text, main, table_json
 from symprod.fixtures import packaged_fixture_dir, resolve_spec_path
-from symprod.rings import load_ring, ring_from_dict
+from symprod.rings import Generator, Ring, RingSpecError, load_ring, ring_from_dict
 from symprod.sympower import structure_constants, table_from_dict, table_to_dict
 from symprod.fixtures import sphere2_ring
+from test_kernel import NONCOMMUTATIVE_TORUS
 
 
 def run(capsys, *argv):
@@ -316,7 +317,8 @@ def test_json_text_of_a_table_never_calls_json_dumps(monkeypatch):
 
 
 def test_every_subcommand_json_equals_json_dumps(capsys, monkeypatch):
-    # the document each subcommand builds is printed as json.dumps would
+    # the document each subcommand builds is printed as json.dumps would;
+    # sym-table builds none and is held to table_to_dict's document
     docs = []
 
     def recording(doc):
@@ -324,6 +326,8 @@ def test_every_subcommand_json_equals_json_dumps(capsys, monkeypatch):
         return json_text(doc)
 
     monkeypatch.setattr("symprod.cli.json_text", recording)
+    torus = load_ring(resolve_spec_path("torus.ring"))
+    table_doc = table_to_dict(structure_constants(torus, 2, 4))
     for argv in (["validate", "torus.ring"],
                  ["sym-basis", "sphere2.ring", "--n", "3"],
                  ["sym-table", "torus.ring", "--n", "2", "--max-degree", "4"],
@@ -336,8 +340,86 @@ def test_every_subcommand_json_equals_json_dumps(capsys, monkeypatch):
         docs.clear()
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0, argv
-        assert len(docs) == 1, argv
-        assert out == json.dumps(docs[0], indent=2, sort_keys=True) + "\n", argv
+        if argv[0] == "sym-table":
+            assert docs == [], argv
+            want = table_doc
+        else:
+            assert len(docs) == 1, argv
+            want = docs[0]
+        assert out == json.dumps(want, indent=2, sort_keys=True) + "\n", argv
+
+
+def refusing_json_dumps(*args, **kwargs):
+    raise AssertionError("json.dumps called")
+
+
+def assert_table_json_is_json_dumps(table, monkeypatch):
+    want = json.dumps(table_to_dict(table), indent=2, sort_keys=True)
+    with monkeypatch.context() as patch:
+        patch.setattr("symprod.cli.json.dumps", refusing_json_dumps)
+        got = table_json(table)
+    assert got == want
+
+
+FIXTURE_SPECS = sorted(f for f in os.listdir(packaged_fixture_dir()) if f.endswith(".ring"))
+
+
+@pytest.mark.parametrize("spec", FIXTURE_SPECS)
+def test_table_json_equals_json_dumps_on_fixtures(spec, monkeypatch):
+    ring = load_ring(resolve_spec_path(spec))
+    for n in (2, 3, 4):
+        assert_table_json_is_json_dumps(structure_constants(ring, n, 6), monkeypatch)
+
+
+def test_table_json_of_a_table_that_shares_no_entry(monkeypatch):
+    # both orders are multiplied, so every (i, j) has its own result dict
+    table = structure_constants(NONCOMMUTATIVE_TORUS, 3, 6)
+    assert len({id(e) for e in table.entries.values()}) == len(table.entries)
+    assert_table_json_is_json_dumps(table, monkeypatch)
+
+
+def test_table_json_of_an_empty_table(capsys, monkeypatch):
+    table = structure_constants(load_ring(resolve_spec_path("torus.ring")), 2, 0)
+    assert table.basis == [] and table.entries == {}
+    assert_table_json_is_json_dumps(table, monkeypatch)
+    code, out, _ = run(capsys, "sym-table", "torus.ring", "--n", "2",
+                       "--max-degree", "0", "--format", "json")
+    assert (code, out) == (0, table_json(table) + "\n")
+
+
+def test_table_json_escapes_names(monkeypatch):
+    odd1, odd2, even = 'a"1', "a\\2", "b \u00e9"
+    ring = Ring([Generator(odd1, 1), Generator(odd2, 1), Generator(even, 2)],
+                {(odd1, odd2): {even: 1}, (odd2, odd1): {even: -1}},
+                name='t "\\ \u00e9')
+    table = structure_constants(ring, 3, 6)
+    assert table.entries
+    assert_table_json_is_json_dumps(table, monkeypatch)
+
+
+def test_colliding_labels_are_rejected(tmp_path, capsys):
+    # chi[b^2] is both b twice and the generator named b^2 once
+    ring = Ring([Generator("b", 2), Generator("b^2", 4)], {}, name="collide")
+    table = structure_constants(ring, 2, 4)
+    for writer in (table_to_dict, table_json):
+        with pytest.raises(RingSpecError) as info:
+            writer(table)
+        message = str(info.value)
+        assert "[['b', 2]]" in message and "[['b^2', 1]]" in message
+        assert "'chi[b^2]'" in message
+    path = tmp_path / "collide.ring"
+    path.write_text(json.dumps({"name": "collide", "products": [],
+                                "generators": [{"name": "b", "degree": 2},
+                                               {"name": "b^2", "degree": 4}]}))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "sym-table", str(path), "--n", "2",
+                             "--max-degree", "4", "--format", fmt)
+        assert (code, out) == (2, ""), fmt
+        assert err.startswith("error: basis classes ") and "'chi[b^2]'" in err, fmt
+    # below degree 4 only b itself is a class, and the table reads back
+    code, out, _ = run(capsys, "sym-table", str(path), "--n", "2",
+                       "--max-degree", "3", "--format", "json")
+    assert code == 0 and ring_from_dict(json.loads(out)).validate().ok
 
 
 def test_back_to_back_requests_match_fresh_processes(capsys):
