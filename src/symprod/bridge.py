@@ -10,7 +10,6 @@ unimodular.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -177,12 +176,12 @@ class SurfacePowerMap:
 def surface_power_map(g: int, n: int) -> SurfacePowerMap:
     """The map of a run: every degree, the relation check and the spot
     check at (g, n) share its product cache and its basis.  A process
-    (each ``--jobs`` worker too) keeps the last one it built."""
+    keeps the last one it built."""
     return SurfacePowerMap(g, n)
 
 
 def bridge_degree(g: int, n: int, s: int) -> DegreeMatrix:
-    """The degree-s change-of-basis matrix; degrees are independent jobs."""
+    """The degree-s change-of-basis matrix, from the run's shared map."""
     if s == 0:
         return DegreeMatrix(0, 1, 1, [[1]], True, [1])
     fmap = surface_power_map(g, n)
@@ -202,16 +201,8 @@ def bridge_degree(g: int, n: int, s: int) -> DegreeMatrix:
     )
 
 
-def pool_size(jobs: int, tasks: int, cpus: int | None) -> int:
-    """Worker processes to start: no more than requested, than there are
-    tasks, or than there are cpus (unknown counts as 1); at least 1.  A
-    process pool starts all its workers at once."""
-    return max(1, min(jobs, tasks, cpus or 1))
-
-
 def check_isomorphism(g: int, n: int, mode: str = "full",
-                      max_degree: int | None = None,
-                      jobs: int = 1) -> BridgeReport:
+                      max_degree: int | None = None) -> BridgeReport:
     """Per-degree change-of-basis matrices between the two models.
 
     Rows are images of quotient-basis monomials expanded in the tensor
@@ -226,16 +217,7 @@ def check_isomorphism(g: int, n: int, mode: str = "full",
     relations = ideal_generators(g, n, mode).polys
     top = 2 * n if max_degree is None else min(max_degree, 2 * n)
     report = BridgeReport(g, n, mode, max_degree=top)
-    degrees = list(range(top + 1))
-    workers = pool_size(jobs, len(degrees), os.cpu_count())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(bridge_degree, [g] * len(degrees),
-                                    [n] * len(degrees), degrees))
-        report.degrees.extend(sorted(results, key=lambda d: d.degree))
-    else:
-        report.degrees.extend(bridge_degree(g, n, s) for s in degrees)
+    report.degrees.extend(bridge_degree(g, n, s) for s in range(top + 1))
     fmap = surface_power_map(g, n)
     report.relations_vanish = not any(
         fmap.polynomial_coordinates(poly) for poly in relations)

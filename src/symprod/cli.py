@@ -269,8 +269,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bridge(args) -> int:
     report = bridge_mod.check_isomorphism(args.g, args.n, mode=args.mode,
-                                          max_degree=args.max_degree,
-                                          jobs=args.jobs)
+                                          max_degree=args.max_degree)
     spot = bridge_mod.multiplicativity_spot_check(args.g, args.n, seed=args.seed)
     doc = bridge_mod.report_to_dict(report)
     doc["multiplicative_spot_check"] = spot
@@ -359,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="full",
                    choices=("full", "stable", "minimal_odd", "minimal_even"))
     p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored: every run "
+                        "is one serial pass")
     p.add_argument("--seed", type=int, default=20240501)
     common(p)
     p.set_defaults(func=cmd_bridge)

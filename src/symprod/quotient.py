@@ -276,7 +276,8 @@ def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
     """Canonical representative of f modulo the relation ideal.
 
     Rewrites the monomials of weight >= n+1 one weight at a time, from
-    the largest down: one with no paired block is itself a relation and
+    the largest down, visiting only the weights some term has (y^(10^12)
+    takes one step): one with no paired block is itself a relation and
     drops; otherwise its relation replaces it by terms of strictly smaller
     weight, since each block the relation swaps for y lowers the weight by
     1.  So rewriting one weight-w monomial never touches another of weight
@@ -291,7 +292,7 @@ def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
     if n < 2:
         raise ValueError("need n >= 2")
     work = dict(f.terms)
-    for w in range(max((m.weight for m in work), default=0), n, -1):
+    while (w := max((m.weight for m in work), default=0)) > n:
         for target in [m for m in work if m.weight == w]:
             if target.abcq[2] == 0:
                 del work[target]

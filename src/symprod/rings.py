@@ -299,37 +299,46 @@ class Element:
 #
 # Omitted products are zero; coefficients are decimal integers.
 
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind: type, what: str):
+    """value, if it has the JSON type kind (true and false are no integers)."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise RingSpecError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+
+
 def ring_from_dict(doc: dict) -> Ring:
-    if not isinstance(doc, dict):
-        raise RingSpecError("ring spec must be a JSON object")
-    try:
-        gen_list = doc["generators"]
-    except KeyError:
-        raise RingSpecError("missing field 'generators'") from None
+    _typed(doc, dict, "ring spec")
+    if "generators" not in doc:
+        raise RingSpecError("missing field 'generators'")
     generators = []
-    for item in gen_list:
+    for item in _typed(doc["generators"], list, "field 'generators'"):
         if not isinstance(item, dict) or "name" not in item or "degree" not in item:
             raise RingSpecError(f"bad generator entry {item!r}: need 'name' and 'degree'")
-        if not isinstance(item["degree"], int):
-            raise RingSpecError(f"generator {item.get('name')!r}: degree must be an integer")
-        generators.append(Generator(str(item["name"]), item["degree"]))
+        name = _typed(item["name"], str, f"generator {item!r}: field 'name'")
+        generators.append(Generator(name, _typed(
+            item["degree"], int, f"generator {name!r}: field 'degree'")))
     products = {}
-    for item in doc.get("products", []):
+    for item in _typed(doc.get("products", []), list, "field 'products'"):
+        _typed(item, dict, "product entry")
         for field in ("left", "right", "result"):
             if field not in item:
                 raise RingSpecError(f"product entry missing field {field!r}: {item!r}")
+        key = tuple(_typed(item[field], str, f"product entry {item!r}: field {field!r}")
+                    for field in ("left", "right"))
         combo = {}
-        for t in item["result"]:
-            if "gen" not in t or "coeff" not in t:
+        for t in _typed(item["result"], list, f"product entry {item!r}: field 'result'"):
+            if not isinstance(t, dict) or "gen" not in t or "coeff" not in t:
                 raise RingSpecError(f"bad product term {t!r}: need 'gen' and 'coeff'")
-            if not isinstance(t["coeff"], int):
-                raise RingSpecError(f"product term {t!r}: coeff must be an integer")
-            combo[t["gen"]] = combo.get(t["gen"], 0) + t["coeff"]
-        key = (item["left"], item["right"])
+            gen = _typed(t["gen"], str, f"product term {t!r}: field 'gen'")
+            combo[gen] = combo.get(gen, 0) + _typed(
+                t["coeff"], int, f"product term {t!r}: field 'coeff'")
         if key in products:
             raise RingSpecError(f"duplicate product entry {key[0]!r}*{key[1]!r}")
         products[key] = combo
-    return Ring(generators, products, name=doc.get("name", ""))
+    return Ring(generators, products, name=_typed(doc.get("name", ""), str, "field 'name'"))
 
 
 def ring_to_dict(ring: Ring) -> dict:

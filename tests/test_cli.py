@@ -149,11 +149,16 @@ def test_bridge_partial_resource_exit(capsys):
     assert "partial" in out
 
 
-def test_bridge_parallel_jobs(capsys):
-    code, out, _ = run(capsys, "bridge", "--g", "1", "--n", "2", "--jobs", "2",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["verdict"] == "isomorphism"
+def test_bridge_ignores_jobs(capsys):
+    # --jobs still parses, for old command lines, and changes nothing
+    argv = ["bridge", "--g", "2", "--n", "4", "--format", "json"]
+    outs = set()
+    for jobs in ([], ["--jobs", "2"], ["--jobs", "1"], ["--jobs", "-3"]):
+        code, out, err = run(capsys, *argv, *jobs)
+        assert (code, err) == (0, ""), jobs
+        outs.add(out)
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["verdict"] == "isomorphism"
 
 
 def test_mac_alias(capsys):
@@ -210,6 +215,44 @@ def test_non_integer_structure_constant_exit_code(capsys, monkeypatch):
                        "--max-degree", "6")
     assert code == 3
     assert err.startswith("theorem violation: non-integer structure constant 1/2")
+
+
+def _spec(gen=None, term=None, product=None, **fields):
+    """A valid ring spec with the given fields of its first generator, its
+    one product term, its one product entry or the spec itself replaced."""
+    doc = {"generators": [{"name": "a", "degree": 1}, {"name": "b", "degree": 1},
+                          {"name": "v", "degree": 2}],
+           "products": [{"left": "a", "right": "b",
+                         "result": [{"gen": "v", "coeff": 1}]}]}
+    doc["generators"][0].update(gen or {})
+    doc["products"][0]["result"][0].update(term or {})
+    doc["products"][0].update(product or {})
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc, field", [
+    (_spec(products=None), "'products'"),
+    (_spec(products=[5]), "product entry"),
+    (_spec(products=[[5]]), "product entry"),
+    (_spec(product={"result": 7}), "'result'"),
+    (_spec(product={"left": ["a"]}), "'left'"),
+    (_spec(term={"gen": ["v"]}), "'gen'"),
+    (_spec(gen={"degree": True}), "'degree'"),
+    (_spec(term={"coeff": True}), "'coeff'"),
+    (_spec(gen={"name": {"x": 1}}), "'name'"),
+    (_spec(name=["t"]), "'name'"),
+    ({"generators": [], "products": [5]}, "product entry"),
+])
+def test_malformed_spec_exits_2(tmp_path, capsys, doc, field):
+    path = tmp_path / "malformed.ring"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)],
+                 ["sym-table", str(path), "--n", "2", "--max-degree", "4"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and field in err, (argv, err)
+        assert "Traceback" not in err
 
 
 def test_sym_table_rejects_parity_breaking_ring(tmp_path, capsys):

@@ -385,6 +385,15 @@ def test_normal_form_matches_reference_on_many_terms():
     assert not got.is_zero()
 
 
+@pytest.mark.parametrize("text", ["y^1000000000000",
+                                  "x1.x'1.y^1000000000000-3*x2.x'2.y^1000000000000"])
+def test_normal_form_skips_weights_no_term_has(text):
+    # weight 10^12 is one rewrite step, not 10^12 empty ones
+    p = parse_poly(text)
+    got = normal_form(p, 2, 2)
+    assert got.is_zero() and got == normal_form_reference(p, 2, 2)
+
+
 def test_multiply_nf_examples_g1_n2():
     y = Polynomial.monomial(Y)
     assert multiply_nf(y, y, 1, 2) == parse_poly("y^2")

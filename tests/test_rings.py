@@ -1,7 +1,10 @@
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symprod import fixtures
 from symprod.rings import (
@@ -171,6 +174,54 @@ def test_parser_rejects_unknown_generator():
 def test_parser_rejects_degree_zero():
     with pytest.raises(RingSpecError, match="degree"):
         ring_from_dict({"generators": [{"name": "e", "degree": 0}]})
+
+
+VALID_SPEC = {
+    "name": "t",
+    "generators": [{"name": "a", "degree": 1}, {"name": "b", "degree": 1},
+                   {"name": "v", "degree": 2}],
+    "products": [{"left": "a", "right": "b", "result": [{"gen": "v", "coeff": 1}]},
+                 {"left": "b", "right": "a", "result": [{"gen": "v", "coeff": -1}]}],
+}
+
+
+def _field_paths(node, path=()):
+    """Key paths to every value inside node, node itself first."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _field_paths(value, path + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+    | st.sampled_from(["a", "b", "v"]),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(
+                          st.sampled_from(["name", "degree", "left", "right",
+                                           "result", "gen", "coeff"])
+                          | st.text(max_size=3),
+                          children, max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(list(_field_paths(VALID_SPEC))), value=json_values)
+def test_parser_returns_a_ring_or_a_spec_error(path, value):
+    doc = copy.deepcopy(VALID_SPEC)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        ring = ring_from_dict(doc)
+    except RingSpecError:
+        return
+    assert isinstance(ring, Ring)
 
 
 def test_add_terms_deletes_a_cancelled_key():
