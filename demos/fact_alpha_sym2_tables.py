@@ -31,9 +31,15 @@ def main():
     print(__doc__)
     print_table("the sphere product", fixtures.s2xs2_ring())
     print_table("the projective-plane connected sum", fixtures.cp2_conn_cp2bar_ring())
-    print("Both tables are integral, as the theory guarantees; the diagonal")
-    print("entries of the degree-4 products already distinguish the lattices")
-    print("over the integers, mirroring the even/odd intersection forms.")
+    print("Both tables are integral, as the theory guarantees, and both rings")
+    print("have the same number of basis classes in each degree.  The entries")
+    print("differ, but entries depend on the basis, so that alone separates")
+    print("nothing.  Read off the degree-4 products above, the middle pairing")
+    print("H^4 x H^4 -> H^8 (coefficients of chi[w^2], basis in the printed")
+    print("order) has the Gram matrix diag(1, [[0,2],[2,0]], 1) for the sphere")
+    print("product and diag(-1, 2, 2, 1) for the connected sum: rank 4,")
+    print("determinant -4, odd, and Smith invariants (1, 1, 2, 2) for both, so")
+    print("at n = 2 these invariants do not tell the two rings apart.")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ the weight is >= 1) survive as the canonical basis of the quotient.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -344,14 +343,6 @@ def quotient_basis(g: int, n: int, s: int) -> list[Monomial]:
 
 # -- lattice views of the ideal --------------------------------------------
 
-def poly_vector(p: Polynomial, basis: list[Monomial]) -> list[int]:
-    pos = {m: i for i, m in enumerate(basis)}
-    vec = [0] * len(basis)
-    for m, c in p.terms.items():
-        vec[pos[m]] = c
-    return vec
-
-
 def _mask(m: Monomial, g: int) -> int:
     # bit i-1 for x_i, bit g+j-1 for x'_j: bit order is the global variable
     # order, and within one degree the mask fixes the y-exponent too
@@ -416,28 +407,24 @@ def relation_lattice_smith(g: int, n: int, s: int) -> list[int]:
 
 def ideal_fills_degree(g: int, n: int, s: int) -> bool:
     """Does the full relation ideal contain every degree-s element?"""
+    # the lattice is all of Z^dim exactly when its Hermite basis is the
+    # unit matrix: full rank, and every pivot 1
     dim = len(monomials_of_degree(g, s))
-    rows = ideal_degree_rows(ideal_generators(g, n, "full"), g, s)
-    return lattice.is_full_unit_lattice(rows, dim)
+    basis = lattice.hermite_nonzero(ideal_degree_rows(ideal_generators(g, n, "full"), g, s))
+    return len(basis) == dim and all(row[i] == 1 for i, row in enumerate(basis))
 
 
-@functools.lru_cache(maxsize=None)
-def _columns(g: int, s: int) -> tuple[list[int], dict[int, int]]:
-    # the masks of `monomials_of_degree(g, s)` in order, and mask -> column;
+def _row(poly: Polynomial, g: int) -> lattice.SparseRow:
     # within one degree a mask names one monomial
-    masks = [_mask(m, g) for m in monomials_of_degree(g, s)]
-    return masks, {mask: i for i, mask in enumerate(masks)}
-
-
-def _row(poly: Polynomial, g: int, pos: dict[int, int]) -> lattice.SparseRow:
-    return {pos[_mask(m, g)]: c for m, c in poly.terms.items()}
+    return {_mask(m, g): c for m, c in poly.terms.items()}
 
 
 def ideal_bases(gens: GeneratorSet, g: int, top: int) -> list[list[lattice.SparseRow]]:
     """Hermite bases B_0..B_top of the ideal's degree pieces, as sparse
-    `lattice.hermite_rows` rows, columns in `monomials_of_degree(g, s)`
-    order; `lattice.hermite_nonzero(ideal_degree_rows(gens, g, s))` is B_s
-    made dense.
+    `lattice.hermite_rows` rows keyed by monomial mask (see `_mask`), so
+    columns come in mask order.  B_s spans the same lattice as
+    `ideal_degree_rows(gens, g, s)`, whose columns are positions in
+    `monomials_of_degree(g, s)` instead.
 
     Every monomial of positive degree is +-v times a monomial, for v one of
     the 2g degree-1 variables, or y times one.  So the degree-s piece is
@@ -445,7 +432,7 @@ def ideal_bases(gens: GeneratorSet, g: int, top: int) -> list[list[lattice.Spars
     degree s, and each degree is built from the two below it.  With
     monomials as masks (see `_mask`), v is one bit: v * t is zero when t
     holds the bit, and otherwise has sign -1 when an odd number of t's bits
-    lie below it.  y keeps the mask.
+    lie below it.  y keeps the mask, so y * B_{s-2} is B_{s-2} itself.
     """
     by_degree: dict[int, list[Polynomial]] = {}
     for poly in gens.polys:
@@ -465,24 +452,20 @@ def _degree_basis(g: int, s: int, bases: list[list[lattice.SparseRow]],
                   polys) -> list[lattice.SparseRow]:
     # one step of `ideal_bases`: B_s from B_{s-1} and B_{s-2}, the last two
     # of bases = [B_0, ..., B_{s-1}], and the degree-s generators polys
-    pos = _columns(g, s)[1]
     rows = []
     if s >= 1:
-        masks = _columns(g, s - 1)[0]
         bits = [1 << i for i in range(2 * g)]
         for b in bases[s - 1]:
-            terms = [(masks[j], c) for j, c in b.items()]
             for bit in bits:
                 below = bit - 1
-                row = {pos[t | bit]: -c if (t & below).bit_count() & 1 else c
-                       for t, c in terms if not t & bit}
+                row = {t | bit: -c if (t & below).bit_count() & 1 else c
+                       for t, c in b.items() if not t & bit}
                 if row:
                     rows.append(row)
     if s >= 2:
-        masks = _columns(g, s - 2)[0]
-        rows += [{pos[masks[j]]: c for j, c in b.items()} for b in bases[s - 2]]
-    for poly in polys:
-        rows.append(_row(poly, g, pos))
+        # `hermite_rows` copies its input, so B_{s-2} is left as it is
+        rows += bases[s - 2]
+    rows += [_row(poly, g) for poly in polys]
     return lattice.hermite_rows(rows)
 
 
@@ -531,8 +514,7 @@ def _degrees_equal(small: GeneratorSet, full: GeneratorSet, g: int,
             d = p.degree()
             if mine.get(m) != p and d is not None and d <= top:
                 by_degree.setdefault(d, []).append(p)
-        if all(lattice.all_in_lattice(
-                (_row(p, g, _columns(g, d)[1]) for p in polys), bases[d])
+        if all(lattice.all_in_lattice((_row(p, g) for p in polys), bases[d])
                for d, polys in by_degree.items()):
             return [(s, True) for s in range(top + 1)]
     return ideals_equal_by_degree(small, full, g, top)
@@ -580,8 +562,8 @@ def verify_minimality(g: int, n: int) -> MinimalityReport:
     if mode == "minimal_even":
         q0_basis = _degree_basis(g, n + 2, bases[:n + 2], ())
         extra = next((p for m, p in zip(minimal.monomials, minimal.polys) if m.q), None)
-        report.extra_relation_outside = extra is not None and not lattice.in_lattice(
-            _row(extra, g, _columns(g, n + 2)[1]), q0_basis)
+        report.extra_relation_outside = extra is not None and not lattice.all_in_lattice(
+            [_row(extra, g)], q0_basis)
     return report
 
 

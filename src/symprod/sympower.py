@@ -130,6 +130,8 @@ def enumerate_basis(ring: Ring, n: int, degree: int | None = None) -> list[Basis
     (degree, odd part, even part, pad); optionally filtered by degree."""
     if n < 2:
         raise ValueError("tensor power must have n >= 2")
+    if degree is not None and degree < 0:
+        raise ValueError(f"need degree >= 0, got degree={degree}")
     odd_positions = ring.odd_positions
     even_positions = ring.even_positions
     out = []
@@ -376,6 +378,8 @@ class StructureTable:
     """
 
     def __init__(self, ring: Ring, n: int, max_degree: int):
+        if max_degree < 0:
+            raise ValueError(f"need max_degree >= 0, got max_degree={max_degree}")
         self.ring = ring
         self.n = n
         self.max_degree = max_degree

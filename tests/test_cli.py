@@ -319,6 +319,23 @@ def test_betti_rejects_negative_input(capsys):
         assert run(capsys, "betti", *argv) == (0, line + "\n", ""), argv
 
 
+def test_negative_degree_bounds_exit_2(capsys):
+    # a negative bound names its argument, in both formats, and prints nothing
+    cases = ((["sym-table", "torus.ring", "--n", "2", "--max-degree", "-1"],
+              "max_degree=-1"),
+             (["sym-basis", "sphere2.ring", "--n", "3", "--degree", "-4"], "degree=-4"))
+    for argv, name in cases:
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, out) == (2, ""), (argv, fmt)
+            assert err.startswith("error: need ") and err.strip().endswith(name), (argv, fmt)
+    # degree 0 is a bound like any other: the empty table, and no classes
+    code, out, _ = run(capsys, "sym-table", "torus.ring", "--n", "2", "--max-degree", "0",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["products"] == []
+    assert run(capsys, "sym-basis", "sphere2.ring", "--n", "3", "--degree", "0") == (0, "", "")
+
+
 json_leaves = (st.none() | st.booleans()
                | st.integers() | st.integers(-10**40, 10**40)
                | st.floats()

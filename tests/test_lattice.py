@@ -5,13 +5,10 @@ import pytest
 from symprod import lattice
 from symprod.lattice import (
     DimensionError,
+    all_in_lattice,
     determinant,
-    hermite,
     hermite_nonzero,
     hermite_rows,
-    identity,
-    in_lattice,
-    is_full_unit_lattice,
     lattice_equal,
     lattice_membership,
     rank,
@@ -19,6 +16,14 @@ from symprod.lattice import (
     xgcd,
 )
 from symprod.quotient import ideal_degree_rows, ideal_generators
+
+
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def nonzero_rows(m):
+    return [row for row in m if any(row)]
 
 
 def mat_mul(a, b):
@@ -30,7 +35,8 @@ def hermite_with_transform(m):
     """Reference row Hermite form that also carries the transform.
 
     Returns (H, U) with U * m = H and U unimodular, by the same elimination
-    as ``hermite`` applied to the augmented rows [m | I].
+    as ``hermite_nonzero`` applied to the augmented rows [m | I]; H keeps
+    its zero rows, at the bottom.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -178,7 +184,7 @@ def test_xgcd():
 
 
 def test_hermite_identity():
-    assert hermite(identity(3)) == identity(3)
+    assert hermite_nonzero(identity(3)) == identity(3)
     h, u = hermite_with_transform(identity(3))
     assert h == identity(3)
     assert u == identity(3)
@@ -186,14 +192,14 @@ def test_hermite_identity():
 
 def test_hermite_reduces_above_pivot():
     # [[2,1],[0,1]]: subtract the second row once from the first.
-    assert hermite([[2, 1], [0, 1]]) == [[2, 0], [0, 1]]
+    assert hermite_nonzero([[2, 1], [0, 1]]) == [[2, 0], [0, 1]]
     h, u = hermite_with_transform([[2, 1], [0, 1]])
     assert h == [[2, 0], [0, 1]]
     assert mat_mul(u, [[2, 1], [0, 1]]) == h
 
 
 def test_hermite_zero_matrix():
-    assert hermite([[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
+    assert hermite_nonzero([[0, 0], [0, 0]]) == []
     h, u = hermite_with_transform([[0, 0], [0, 0]])
     assert h == [[0, 0], [0, 0]]
     assert u == identity(2)
@@ -201,7 +207,7 @@ def test_hermite_zero_matrix():
 
 def test_hermite_transform_is_unimodular():
     m = [[6, 10, 15], [10, 15, 6], [15, 6, 10]]
-    h = hermite(m)
+    h = hermite_nonzero(m)
     ref_h, u = hermite_with_transform(m)
     assert h == ref_h
     assert mat_mul(u, m) == h
@@ -231,12 +237,12 @@ def test_hermite_matches_transform_reference_random():
     rng = random.Random(31337)
     count = 0
     for m in _random_matrices(rng):
-        h = hermite(m)
+        h = hermite_nonzero(m)
         ref_h, u = hermite_with_transform(m)
-        assert h == ref_h
+        assert h == nonzero_rows(ref_h)
         assert_hermite_shape(h)
         if m and m[0]:
-            assert mat_mul(u, m) == h
+            assert mat_mul(u, m) == ref_h
         count += 1
     assert count == 303
 
@@ -249,7 +255,8 @@ def test_hermite_matches_transform_reference_on_ideal_matrices():
         gens = ideal_generators(g, n, mode)
         for s in range(2 * n + 3):
             m = ideal_degree_rows(gens, g, s)
-            assert hermite(m) == hermite_with_transform(m)[0], (g, n, mode, s)
+            assert hermite_nonzero(m) == nonzero_rows(hermite_with_transform(m)[0]), \
+                (g, n, mode, s)
 
 
 def _gcd_and_sign_matrices(rng):
@@ -282,12 +289,11 @@ def test_hermite_matches_transform_reference_gcd_and_sign(monkeypatch):
     rng = random.Random(271828)
     flips = 0
     for m in _gcd_and_sign_matrices(rng):
-        h = hermite(m)
+        h = hermite_nonzero(m)
         ref_h, u = hermite_with_transform(m)
-        assert h == ref_h, m
+        assert h == nonzero_rows(ref_h), m
         assert_hermite_shape(h)
-        assert mat_mul(u, m) == h
-        assert hermite_nonzero(m) == [row for row in h if any(row)]
+        assert mat_mul(u, m) == ref_h
         # one negative value down column 0: it stays the pivot until the flip
         flips += len({row[0] for row in m} - {0}) == 1 and min(row[0] for row in m) < 0
     assert len(calls) > 100
@@ -305,20 +311,17 @@ def test_hermite_rows_on_sparse_rows():
         assert sparse == before
         assert [[row.get(j, 0) for j in range(len(m[0]))] for row in basis] == hermite_nonzero(m)
         assert [min(row) for row in basis] == sorted({min(row) for row in basis})
-        for row in sparse:
-            assert in_lattice(row, basis)
+        assert all_in_lattice(sparse, basis)
         v = [rng.randrange(-3, 4) for _ in m[0]]
-        assert in_lattice(dict(enumerate(v)), basis) == lattice_membership(v, m)
+        assert all_in_lattice([dict(enumerate(v))], basis) == lattice_membership(v, m)
 
 
 def test_hermite_shapes_and_ragged_input():
-    assert hermite([]) == [] and hermite_nonzero([]) == []
-    assert hermite([[]]) == [[]] and hermite_nonzero([[]]) == []
-    assert hermite([[], []]) == [[], []]
-    assert hermite([[0, 1], [0, 0], [0, 2]]) == [[0, 1], [0, 0], [0, 0]]
+    assert hermite_nonzero([]) == []
+    assert hermite_nonzero([[]]) == []
+    assert hermite_nonzero([[], []]) == []
+    assert hermite_nonzero([[0, 1], [0, 0], [0, 2]]) == [[0, 1]]
     for ragged in ([[1, 2], [3]], [[1], []], [[], [0]]):
-        with pytest.raises(DimensionError):
-            hermite(ragged)
         with pytest.raises(DimensionError):
             hermite_nonzero(ragged)
 
@@ -441,12 +444,6 @@ def test_lattice_equal():
     assert lattice_equal([[1, 1], [0, 2]], [[1, -1], [0, 2]])
     assert not lattice_equal([[2, 0], [0, 2]], [[1, 0], [0, 1]])
     assert lattice_equal([], [[0, 0]])
-
-
-def test_full_unit_lattice():
-    assert is_full_unit_lattice([[1, 0], [1, 1]], 2)
-    assert not is_full_unit_lattice([[2, 0], [0, 1]], 2)
-    assert is_full_unit_lattice([], 0)
 
 
 def test_hermite_preserves_row_space_random():
