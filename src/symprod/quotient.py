@@ -162,38 +162,58 @@ def relation_poly(m: Monomial) -> Polynomial:
     Expanded, its unique maximal-weight monomial is m itself, with
     coefficient +-1.
 
-    Written out in closed form, one term per subset S of the paired
-    indices P: base * prod_{k in S} (-x_k x'_k) * y^(q + |P| - |S|), with
-    base the unpaired variables.  The blocks have even degree, so their
-    order does not matter; placing them, in increasing k, after base is
-    the word that sorts into the term.  With monomials as masks (see
-    `_mask`) the sort costs one inversion per pair (v in base, u in a
-    block) with v > u, counted by popcount against `_below` of base, and
-    one per pair of blocks (x'_k before x_l).  So the sign is
-    (-1)^(|S| + C(|S|, 2)) times (-1)^(e_k) for each k in S, with e_k the
-    parity of base's bits above x_k and x'_k.  Terms come in the order
-    the product taken one bracket at a time gives them: subset order,
-    with the first paired index as the most significant bit.
+    This is the decoded view of the closed form `_relation_row`: the same
+    terms in the same order, each mask read back as a monomial of m's
+    degree.  `normal_form`, `GeneratorSet.polys` (so the `relations`
+    command and `bridge`) and the tests read it; `verify` reads the rows.
     """
-    paired = sorted(set(m.xs) & set(m.xp))
-    c = len(paired)
     g = m.max_index  # `_mask` keeps the variable order for any g >= the indices
-    blocks = {k: 1 << (k - 1) | 1 << (g + k - 1) for k in paired}
-    below = _below(_mask(m, g) ^ sum(blocks.values()))
-    # subset bit of each paired index, first index most significant, and
-    # the subset bits whose block carries an odd sign against base
-    bit = {k: 1 << (c - 1 - j) for j, k in enumerate(paired)}
-    odd = sum(bit[k] for k in paired if (below & blocks[k]).bit_count() & 1)
+    d = m.degree
     terms = {}
-    for subset in range(1 << c):
-        size = subset.bit_count()
-        # an index drops when it is paired and its block is left out
-        left_out = ~subset
-        xs = tuple(i for i in m.xs if not bit.get(i, 0) & left_out)
-        xp = tuple(j for j in m.xp if not bit.get(j, 0) & left_out)
-        parity = size + size * (size - 1) // 2 + (subset & odd).bit_count()
-        terms[Monomial(xs, xp, m.q + c - size)] = -1 if parity & 1 else 1
+    for mask, c in _relation_row(m, g).items():
+        # every term's variables are some of m's
+        xs = tuple(i for i in m.xs if mask >> (i - 1) & 1)
+        xp = tuple(j for j in m.xp if mask >> (g + j - 1) & 1)
+        terms[Monomial(xs, xp, (d - len(xs) - len(xp)) // 2)] = c
     return Polynomial(terms)
+
+
+def _relation_row(m: Monomial, g: int) -> lattice.SparseRow:
+    """The relation of m in closed form, as a row {`_mask(t, g)`: +-1}
+    over the terms t of its degree: one term per subset S of the paired
+    indices P, base * prod_{k in S} (-x_k x'_k) * y^(q + |P| - |S|), with
+    base the unpaired variables.
+
+    The blocks have even degree, so their order does not matter; placing
+    them, in increasing k, after base is the word that sorts into the term.
+    Sorting it costs one inversion per pair (v in base, u in a block) with
+    v > u, counted by popcount against `_below` of base, and one per pair
+    of blocks (x'_k before x_l).  So the sign is (-1)^(|S| + C(|S|, 2))
+    times (-1)^(e_k) for each k in S, with e_k the parity of base's bits
+    above x_k and x'_k.  Terms come in the order the product taken one
+    bracket at a time gives them: subset order, with the first paired index
+    as the most significant bit.
+    """
+    x = sum(1 << (i - 1) for i in m.xs)
+    xp = sum(1 << (j - 1) for j in m.xp)
+    if (x | xp) >> g:
+        raise ValueError(f"variable index exceeds g={g}")
+    paired = x & xp
+    base = x ^ paired | (xp ^ paired) << g
+    below = _below(base)
+    # the masks in subset order, and the subset bits of the blocks with odd e_k
+    masks, odd = [base], 0
+    while paired:
+        low = paired & -paired
+        paired ^= low
+        block = low | low << g
+        odd = odd << 1 | (below & block).bit_count() & 1
+        masks = [t for mask in masks for t in (mask, mask | block)]
+    row = {}
+    for subset, mask in enumerate(masks):
+        size = subset.bit_count()
+        row[mask] = -1 if (size * (size + 1) // 2 + (subset & odd).bit_count()) & 1 else 1
+    return row
 
 
 def _pairs_of_weight(g: int, e: int):
@@ -225,11 +245,49 @@ def monomials_of_degree(g: int, s: int) -> list[Monomial]:
     return out
 
 
-@dataclass
 class GeneratorSet:
-    mode: str
-    monomials: list[Monomial]
-    polys: list[Polynomial]
+    """Generators of an ideal, in three views: `monomials`, `polys` and
+    the row view `rows(g)`.
+
+    `GeneratorSet(mode, monomials)`, as `ideal_generators` builds it, holds
+    the relation of each monomial.  Its rows come from the closed form
+    `_relation_row`, and `polys` is decoded by `relation_poly` only when
+    something reads it: the `relations` command, `bridge` and the tests.
+    `GeneratorSet(mode, monomials, polys)` holds the given polynomials,
+    with `monomials` naming them (or left empty), and its rows are their
+    `_row`s.  `ideal_bases`, `ideal_degree_rows` and `verify_minimality`
+    read only the row view, so `verify` builds no `Polynomial`.
+    """
+
+    def __init__(self, mode: str, monomials: list[Monomial],
+                 polys: list[Polynomial] | None = None):
+        self.mode = mode
+        self.monomials = monomials
+        self._polys = polys
+        self._closed_form = polys is None
+        self._rows: dict[int, list[tuple[int | None, lattice.SparseRow]]] = {}
+
+    @property
+    def polys(self) -> list[Polynomial]:
+        if self._polys is None:
+            self._polys = [relation_poly(m) for m in self.monomials]
+        return self._polys
+
+    def rows(self, g: int) -> list[tuple[int | None, lattice.SparseRow]]:
+        """(degree, row) per generator, the row keyed by `_mask(t, g)` over
+        the terms t; the degree is None for a polynomial that is not
+        homogeneous (or is zero).  Raises ValueError when a variable index
+        exceeds g."""
+        rows = self._rows.get(g)
+        if rows is None:
+            if self._closed_form:
+                rows = [(m.degree, _relation_row(m, g)) for m in self.monomials]
+            else:
+                if any(p.max_index() > g for p in self._polys):
+                    raise ValueError(f"variable index exceeds g={g}")
+                rows = [(p.degree(), _row(p, g)) for p in self._polys]
+            self._rows[g] = rows
+        return rows
 
 
 def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
@@ -268,7 +326,7 @@ def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
             monomials = monomials + [Monomial(half, half, 1)]
     else:
         raise InvalidModeError(f"unknown mode {mode!r}")
-    return GeneratorSet(mode, monomials, [relation_poly(m) for m in monomials])
+    return GeneratorSet(mode, monomials)
 
 
 def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
@@ -374,19 +432,15 @@ def ideal_degree_rows(gens: GeneratorSet, g: int, s: int) -> list[list[int]]:
     pos = {_mask(m, g): i for i, m in enumerate(monomials_of_degree(g, s))}
     multipliers: dict[int, list[tuple[int, int]]] = {}
     rows = []
-    for poly in gens.polys:
-        d = poly.degree()
+    for d, gen_row in gens.rows(g):
         if d is None or d > s:
             continue
-        if poly.max_index() > g:
-            raise ValueError(f"variable index exceeds g={g}")
         if s - d not in multipliers:
             masks = [_mask(m, g) for m in monomials_of_degree(g, s - d)]
             multipliers[s - d] = [(mask, _below(mask)) for mask in masks]
-        terms = [(_mask(t, g), c) for t, c in poly.terms.items()]
         for mask, below in multipliers[s - d]:
             row = None
-            for t, c in terms:
+            for t, c in gen_row.items():
                 if mask & t:
                     continue
                 if row is None:
@@ -395,23 +449,6 @@ def ideal_degree_rows(gens: GeneratorSet, g: int, s: int) -> list[list[int]]:
             if row is not None:
                 rows.append(row)
     return rows
-
-
-def relation_lattice_smith(g: int, n: int, s: int) -> list[int]:
-    """Smith invariants of the degree-s piece of the full relation ideal."""
-    rows = ideal_degree_rows(ideal_generators(g, n, "full"), g, s)
-    if not rows:
-        return []
-    return lattice.smith(rows)
-
-
-def ideal_fills_degree(g: int, n: int, s: int) -> bool:
-    """Does the full relation ideal contain every degree-s element?"""
-    # the lattice is all of Z^dim exactly when its Hermite basis is the
-    # unit matrix: full rank, and every pivot 1
-    dim = len(monomials_of_degree(g, s))
-    basis = lattice.hermite_nonzero(ideal_degree_rows(ideal_generators(g, n, "full"), g, s))
-    return len(basis) == dim and all(row[i] == 1 for i, row in enumerate(basis))
 
 
 def _row(poly: Polynomial, g: int) -> lattice.SparseRow:
@@ -424,7 +461,8 @@ def ideal_bases(gens: GeneratorSet, g: int, top: int) -> list[list[lattice.Spars
     `lattice.hermite_rows` rows keyed by monomial mask (see `_mask`), so
     columns come in mask order.  B_s spans the same lattice as
     `ideal_degree_rows(gens, g, s)`, whose columns are positions in
-    `monomials_of_degree(g, s)` instead.
+    `monomials_of_degree(g, s)` instead.  Both read the generators' row
+    view `gens.rows(g)`, never their polynomials.
 
     Every monomial of positive degree is +-v times a monomial, for v one of
     the 2g degree-1 variables, or y times one.  So the degree-s piece is
@@ -434,14 +472,10 @@ def ideal_bases(gens: GeneratorSet, g: int, top: int) -> list[list[lattice.Spars
     holds the bit, and otherwise has sign -1 when an odd number of t's bits
     lie below it.  y keeps the mask, so y * B_{s-2} is B_{s-2} itself.
     """
-    by_degree: dict[int, list[Polynomial]] = {}
-    for poly in gens.polys:
-        d = poly.degree()
-        if d is None or d > top:
-            continue
-        if poly.max_index() > g:
-            raise ValueError(f"variable index exceeds g={g}")
-        by_degree.setdefault(d, []).append(poly)
+    by_degree: dict[int, list[lattice.SparseRow]] = {}
+    for d, row in gens.rows(g):
+        if d is not None and d <= top:
+            by_degree.setdefault(d, []).append(row)
     bases: list[list[lattice.SparseRow]] = []
     for s in range(top + 1):
         bases.append(_degree_basis(g, s, bases, by_degree.get(s, ())))
@@ -449,9 +483,9 @@ def ideal_bases(gens: GeneratorSet, g: int, top: int) -> list[list[lattice.Spars
 
 
 def _degree_basis(g: int, s: int, bases: list[list[lattice.SparseRow]],
-                  polys) -> list[lattice.SparseRow]:
+                  generators) -> list[lattice.SparseRow]:
     # one step of `ideal_bases`: B_s from B_{s-1} and B_{s-2}, the last two
-    # of bases = [B_0, ..., B_{s-1}], and the degree-s generators polys
+    # of bases = [B_0, ..., B_{s-1}], and the rows of the degree-s generators
     rows = []
     if s >= 1:
         bits = [1 << i for i in range(2 * g)]
@@ -465,7 +499,7 @@ def _degree_basis(g: int, s: int, bases: list[list[lattice.SparseRow]],
     if s >= 2:
         # `hermite_rows` copies its input, so B_{s-2} is left as it is
         rows += bases[s - 2]
-    rows += [_row(poly, g) for poly in polys]
+    rows += generators
     return lattice.hermite_rows(rows)
 
 
@@ -503,19 +537,21 @@ def _degrees_equal(small: GeneratorSet, full: GeneratorSet, g: int,
     """`ideals_equal_by_degree(small, full, g, top)`, given small's Hermite
     bases B_0..B_top: one-sided when small is a subset of full, two-sided
     otherwise or when a full generator is left nonzero (see
-    `verify_minimality`)."""
+    `verify_minimality`).  Generators are compared as the (degree, row)
+    pairs of the row view, and within one degree a row names one
+    polynomial."""
     top = len(bases) - 1
-    theirs = dict(zip(full.monomials, full.polys))
-    mine = dict(zip(small.monomials, small.polys))
-    aligned = all(len(gens.monomials) == len(gens.polys) for gens in (small, full))
-    if aligned and all(theirs.get(m) == p for m, p in zip(small.monomials, small.polys)):
-        by_degree: dict[int, list[Polynomial]] = {}
-        for m, p in zip(full.monomials, full.polys):
-            d = p.degree()
-            if mine.get(m) != p and d is not None and d <= top:
-                by_degree.setdefault(d, []).append(p)
-        if all(lattice.all_in_lattice((_row(p, g) for p in polys), bases[d])
-               for d, polys in by_degree.items()):
+    small_rows, full_rows = small.rows(g), full.rows(g)
+    theirs = dict(zip(full.monomials, full_rows))
+    mine = dict(zip(small.monomials, small_rows))
+    aligned = (len(small.monomials) == len(small_rows)
+               and len(full.monomials) == len(full_rows))
+    if aligned and all(theirs.get(m) == gen for m, gen in zip(small.monomials, small_rows)):
+        by_degree: dict[int, list[lattice.SparseRow]] = {}
+        for m, (d, row) in zip(full.monomials, full_rows):
+            if mine.get(m) != (d, row) and d is not None and d <= top:
+                by_degree.setdefault(d, []).append(row)
+        if all(lattice.all_in_lattice(rows, bases[d]) for d, rows in by_degree.items()):
             return [(s, True) for s in range(top + 1)]
     return ideals_equal_by_degree(small, full, g, top)
 
@@ -561,9 +597,10 @@ def verify_minimality(g: int, n: int) -> MinimalityReport:
         degrees_equal=_degrees_equal(minimal, full, g, bases))
     if mode == "minimal_even":
         q0_basis = _degree_basis(g, n + 2, bases[:n + 2], ())
-        extra = next((p for m, p in zip(minimal.monomials, minimal.polys) if m.q), None)
+        extra = next((row for m, (_, row) in zip(minimal.monomials, minimal.rows(g))
+                      if m.q), None)
         report.extra_relation_outside = extra is not None and not lattice.all_in_lattice(
-            [_row(extra, g)], q0_basis)
+            [extra], q0_basis)
     return report
 
 

@@ -388,6 +388,9 @@ class StructureTable:
         self.entries: dict[tuple[BasisIndex, BasisIndex], dict[BasisIndex, int]] = {}
         entries = self.entries
         product = IndexProduct(ring)
+        # results keyed by the basis objects themselves: the writers look
+        # each key up in dicts keyed by the basis, and hit on identity
+        product._indices.update((idx.sorted_slots(ring), idx) for idx in self.basis)
         mirror = not ring.commutativity_violations()
         degrees = [idx.degree(ring) for idx in self.basis]
         for a, (i, di) in enumerate(zip(self.basis, degrees)):

@@ -14,10 +14,8 @@ from symprod.bridge import check_isomorphism
 from symprod.quotient import (
     betti,
     ideal_degree_rows,
-    ideal_fills_degree,
     ideal_generators,
     quotient_basis,
-    relation_lattice_smith,
     verify_minimality,
 )
 from symprod.sympower import (
@@ -29,6 +27,8 @@ from symprod.sympower import (
     structure_constants,
 )
 from symprod.tensors import Perm, act, elementary, symmetrize, tensor_multiply
+
+from relation_lattices import ideal_fills_degree, relation_lattice_smith
 
 GRID = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
 

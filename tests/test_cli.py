@@ -185,10 +185,12 @@ def test_failed_certificate_exit_code(capsys, monkeypatch):
 def test_internal_inconsistency_exit_code(capsys, monkeypatch):
     from symprod.sympower import InternalInconsistencyError
 
-    def broken(ring, slots):
+    # the kernel's lookup of a result index; a table's results are its own
+    # basis objects, so `index_from_sorted_slots` is not reached
+    def broken(product, slots):
         raise InternalInconsistencyError(f"odd generator repeated in {slots}")
 
-    monkeypatch.setattr("symprod.sympower.index_from_sorted_slots", broken)
+    monkeypatch.setattr("symprod.sympower.IndexProduct._index", broken)
     code, _, err = run(capsys, "sym-table", "torus.ring", "--n", "2",
                        "--max-degree", "4")
     assert code == 3

@@ -21,7 +21,6 @@ from symprod.quotient import (
     format_poly,
     ideal_bases,
     ideal_degree_rows,
-    ideal_fills_degree,
     ideal_generators,
     ideals_equal_by_degree,
     monomial_mul,
@@ -31,11 +30,12 @@ from symprod.quotient import (
     normal_form,
     parse_poly,
     quotient_basis,
-    relation_lattice_smith,
     relation_poly,
     verify_minimality,
 )
-from symprod.quotient import _mask, _parse_word, _row
+from symprod.quotient import _mask, _parse_word, _relation_row, _row
+
+from relation_lattices import ideal_fills_degree, relation_lattice_smith
 
 
 def mono(xs=(), xp=(), q=0):
@@ -184,8 +184,13 @@ def test_closed_forms_match_references_g_le_5():
             monomials = monomials_of_weight(g, w)
             assert monomials == monomials_of_weight_reference(g, w), (g, w)
             for m in monomials:
+                reference = relation_poly_reference(m)
                 got = list(relation_poly(m).terms.items())
-                assert got == list(relation_poly_reference(m).terms.items()), m
+                assert got == list(reference.terms.items()), m
+                # the row verify reads, also in a wider mask layout
+                for layout in (g, g + 1):
+                    row = list(_relation_row(m, layout).items())
+                    assert row == list(_row(reference, layout).items()), (m, layout)
                 cases += 1
     assert cases == 10467
 
@@ -714,6 +719,22 @@ def test_verify_minimality_matches_reference():
         assert report == verify_minimality_reference(g, n), (g, n)
         assert report.ok, (g, n)
     assert len(cases) == 2 + 4 + 6 + 8 + 2
+
+
+def test_verify_minimality_builds_no_polynomial(monkeypatch):
+    # the minimal_even, minimal_odd and stable branches read the rows of
+    # the closed form only: the same reports with relation_poly and the
+    # Polynomial constructor refused
+    cases = [(4, 4), (4, 5), (3, 5)]
+    expected = [verify_minimality(g, n) for g, n in cases]
+    assert [r.case for r in expected] == ["minimal_even", "minimal_odd", "stable"]
+
+    def refuse(*args):
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr(quotient, "relation_poly", refuse)
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    assert [verify_minimality(g, n) for g, n in cases] == expected
 
 
 def two_sided_calls(monkeypatch):

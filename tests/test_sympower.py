@@ -310,6 +310,16 @@ def test_table_alternating_entry_surface_g2():
                    idx(ring, odd=["a1", "a2", "a3"]): 1}
 
 
+def test_table_result_keys_are_the_basis_objects():
+    # every key of a result is one of the table's own basis indices, not
+    # an equal copy, so lookups by key stop at the identity check
+    ring = fixtures.surface_ring(2)
+    table = structure_constants(ring, 4, 8)
+    members = {id(b) for b in table.basis}
+    keys = [k for entry in table.entries.values() for k in entry]
+    assert keys and all(id(k) in members for k in keys)
+
+
 def test_table_graded_commutativity(torus):
     table = structure_constants(torus, 2, 4)
     for (i, j), entry in table.entries.items():
