@@ -269,19 +269,3 @@ def report_to_dict(report: BridgeReport) -> dict:
             for d in report.degrees
         ],
     }
-
-
-def report_from_dict(doc: dict) -> BridgeReport:
-    report = BridgeReport(doc["g"], doc["n"], doc["mode"],
-                          max_degree=doc["max_degree"])
-    report.relations_vanish = doc["relations_vanish"]
-    for item in doc["degrees"]:
-        report.degrees.append(DegreeMatrix(
-            degree=item["degree"],
-            quotient_rank=item["quotient_rank"],
-            tensor_rank=item["tensor_rank"],
-            matrix=[list(map(int, row)) for row in item["matrix"]],
-            unimodular=item["unimodular"],
-            smith=list(map(int, item["smith"])),
-        ))
-    return report

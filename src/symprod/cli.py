@@ -215,9 +215,9 @@ def cmd_relations(args) -> int:
         "g": args.g,
         "n": args.n,
         "mode": gens.mode,
-        "count": len(gens.polys),
-        "generators": [{"monomial": m.word(), "poly": quotient.format_poly(p)}
-                       for m, p in zip(gens.monomials, gens.polys)],
+        "count": len(gens.monomials),
+        "generators": [{"monomial": m.word(), "poly": quotient.format_row(row, args.g, d)}
+                       for m, (d, row) in zip(gens.monomials, gens.rows(args.g))],
     }
 
     def text(doc):

@@ -76,12 +76,16 @@ class Monomial:
         return max(self.xs + self.xp, default=0)
 
     def word(self) -> str:
-        parts = [f"x{i}" for i in self.xs] + [f"x'{i}" for i in self.xp]
-        if self.q == 1:
-            parts.append("y")
-        elif self.q > 1:
-            parts.append(f"y^{self.q}")
-        return ".".join(parts) if parts else "1"
+        return _word(self.xs, self.xp, self.q)
+
+
+def _word(xs, xp, q: int) -> str:
+    parts = [f"x{i}" for i in xs] + [f"x'{i}" for i in xp]
+    if q == 1:
+        parts.append("y")
+    elif q > 1:
+        parts.append(f"y^{q}")
+    return ".".join(parts) if parts else "1"
 
 
 ONE = Monomial((), (), 0)
@@ -164,25 +168,28 @@ def relation_poly(m: Monomial) -> Polynomial:
 
     This is the decoded view of the closed form `_relation_row`: the same
     terms in the same order, each mask read back as a monomial of m's
-    degree.  `normal_form`, `GeneratorSet.polys` (so the `relations`
-    command and `bridge`) and the tests read it; `verify` reads the rows.
+    degree.  `GeneratorSet.polys` (so `bridge`) and the tests read it;
+    `verify`, `relations` and `normal_form` read the rows.
     """
-    g = m.max_index  # `_mask` keeps the variable order for any g >= the indices
-    d = m.degree
-    terms = {}
-    for mask, c in _relation_row(m, g).items():
-        # every term's variables are some of m's
-        xs = tuple(i for i in m.xs if mask >> (i - 1) & 1)
-        xp = tuple(j for j in m.xp if mask >> (g + j - 1) & 1)
-        terms[Monomial(xs, xp, (d - len(xs) - len(xp)) // 2)] = c
-    return Polynomial(terms)
+    g, d = m.max_index, m.degree  # `_mask` keeps the variable order for any g >= the indices
+    return Polynomial({_monomial(t, g, d): c for t, c in _relation_row(m, g).items()})
 
 
 def _relation_row(m: Monomial, g: int) -> lattice.SparseRow:
     """The relation of m in closed form, as a row {`_mask(t, g)`: +-1}
-    over the terms t of its degree: one term per subset S of the paired
-    indices P, base * prod_{k in S} (-x_k x'_k) * y^(q + |P| - |S|), with
-    base the unpaired variables.
+    over the terms t of its degree; see `_mask_relation_row`."""
+    x = sum(1 << (i - 1) for i in m.xs)
+    xp = sum(1 << (j - 1) for j in m.xp)
+    if (x | xp) >> g:
+        raise ValueError(f"variable index exceeds g={g}")
+    return _mask_relation_row(x | xp << g, g)
+
+
+def _mask_relation_row(mask: int, g: int) -> lattice.SparseRow:
+    """The relation of the monomial with mask `mask` (see `_mask`) in
+    closed form, as a row {mask of t: +-1} over the terms t of its degree:
+    one term per subset S of the paired indices P, base * prod_{k in S}
+    (-x_k x'_k) * y^(q + |P| - |S|), with base the unpaired variables.
 
     The blocks have even degree, so their order does not matter; placing
     them, in increasing k, after base is the word that sorts into the term.
@@ -194,12 +201,8 @@ def _relation_row(m: Monomial, g: int) -> lattice.SparseRow:
     bracket at a time gives them: subset order, with the first paired index
     as the most significant bit.
     """
-    x = sum(1 << (i - 1) for i in m.xs)
-    xp = sum(1 << (j - 1) for j in m.xp)
-    if (x | xp) >> g:
-        raise ValueError(f"variable index exceeds g={g}")
-    paired = x & xp
-    base = x ^ paired | (xp ^ paired) << g
+    paired = mask & mask >> g  # bit k-1 for each paired index k
+    base = mask ^ (paired | paired << g)
     below = _below(base)
     # the masks in subset order, and the subset bits of the blocks with odd e_k
     masks, odd = [base], 0
@@ -252,11 +255,12 @@ class GeneratorSet:
     `GeneratorSet(mode, monomials)`, as `ideal_generators` builds it, holds
     the relation of each monomial.  Its rows come from the closed form
     `_relation_row`, and `polys` is decoded by `relation_poly` only when
-    something reads it: the `relations` command, `bridge` and the tests.
+    something reads it: `bridge` and the tests.
     `GeneratorSet(mode, monomials, polys)` holds the given polynomials,
     with `monomials` naming them (or left empty), and its rows are their
-    `_row`s.  `ideal_bases`, `ideal_degree_rows` and `verify_minimality`
-    read only the row view, so `verify` builds no `Polynomial`.
+    `_row`s.  `ideal_bases`, `ideal_degree_rows`, `verify_minimality` and
+    the `relations` command (through `format_row`) read only the row view,
+    so neither `verify` nor `relations` builds a `Polynomial`.
     """
 
     def __init__(self, mode: str, monomials: list[Monomial],
@@ -339,30 +343,40 @@ def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
     weight, since each block the relation swaps for y lowers the weight by
     1.  So rewriting one weight-w monomial never touches another of weight
     w, and after weight n+1 only weight <= n monomials are left.
+
+    The work reads the closed form `_mask_relation_row`, never a decoded
+    relation: terms are masks (see `_mask`) laid out for the largest index
+    f uses, so the cost does not grow with g.  f has one degree d, within
+    which a mask fixes the y-exponent and the weight is (d + popcount) / 2.
+    Only the result is decoded into monomials.
     """
     if g < 0:
         raise ValueError(f"need g >= 0, got g={g}")
-    if f.max_index() > g:
+    layout = f.max_index()
+    if layout > g:
         raise ValueError(f"variable index exceeds g={g}")
-    if not f.is_zero() and f.degree() is None:
+    d = f.degree()
+    if not f.is_zero() and d is None:
         raise NonHomogeneousError("reduce homogeneous components separately")
     if n < 2:
         raise ValueError("need n >= 2")
-    work = dict(f.terms)
-    while (w := max((m.weight for m in work), default=0)) > n:
-        for target in [m for m in work if m.weight == w]:
-            if target.abcq[2] == 0:
+    work = {_mask(m, layout): c for m, c in f.terms.items()}
+    # weight (d + e) / 2 > n for the terms with e > 2n - d set bits
+    while work and (e := max(map(int.bit_count, work))) > 2 * n - d:
+        for target in [t for t in work if t.bit_count() == e]:
+            if not target & target >> layout:
                 del work[target]
                 continue
-            rel = relation_poly(target)
-            eps = rel.terms.get(target, 0)
+            row = _mask_relation_row(target, layout)
+            eps = row.get(target, 0)
             if eps not in (1, -1):
                 raise QuotientInvariantError(
-                    f"relation of {target.word()} has leading coefficient {eps}, not +-1")
+                    f"relation of {_monomial(target, layout, d).word()} has "
+                    f"leading coefficient {eps}, not +-1")
             # the relation's target term is eps * target and eps * eps == 1,
             # so the target cancels itself
-            add_terms(work, rel.terms.items(), -work[target] * eps)
-    return Polynomial(work)
+            add_terms(work, row.items(), -work[target] * eps)
+    return Polynomial({_monomial(t, layout, d): c for t, c in work.items()})
 
 
 def multiply_nf(f: Polynomial, h: Polynomial, g: int, n: int) -> Polynomial:
@@ -405,6 +419,23 @@ def _mask(m: Monomial, g: int) -> int:
     # bit i-1 for x_i, bit g+j-1 for x'_j: bit order is the global variable
     # order, and within one degree the mask fixes the y-exponent too
     return sum(1 << (i - 1) for i in m.xs) | sum(1 << (g + j - 1) for j in m.xp)
+
+
+def _indices(bits: int) -> tuple[int, ...]:
+    # the set bits of bits, as increasing 1-based indices: one step per
+    # set bit, so the cost does not grow with the layout's g
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length())
+        bits ^= low
+    return tuple(out)
+
+
+def _monomial(mask: int, g: int, d: int) -> Monomial:
+    # the degree-d monomial with mask `_mask(m, g)`
+    xs, xp = _indices(mask & ~(-1 << g)), _indices(mask >> g)
+    return Monomial(xs, xp, (d - len(xs) - len(xp)) // 2)
 
 
 def _below(mask: int) -> int:
@@ -678,3 +709,19 @@ def format_poly(p: Polynomial) -> str:
         c = p.terms[m]
         bits.append(f"{'+' if c > 0 else '-'}{abs(c)}*{m.word()}")
     return "".join(bits)
+
+
+def format_row(row: lattice.SparseRow, g: int, d: int) -> str:
+    """`format_poly` of the degree-d polynomial whose row, keyed by
+    `_mask(t, g)`, is `row`, read off the masks: within one degree the
+    weight is (d + popcount) / 2, so `Monomial.sort_key` order is
+    (popcount, xs, xp) order."""
+    if not row:
+        return "0"
+    terms = []
+    for t, c in row.items():
+        xs, xp = _indices(t & ~(-1 << g)), _indices(t >> g)
+        terms.append(((len(xs) + len(xp), xs, xp), c))
+    terms.sort(key=lambda term: term[0])
+    return "".join([f"{'+' if c > 0 else '-'}{abs(c)}*{_word(xs, xp, (d - e) // 2)}"
+                    for (e, xs, xp), c in terms])

@@ -127,25 +127,30 @@ def index_from_sorted_slots(ring: Ring, slots: tuple[int, ...]) -> BasisIndex:
 
 def enumerate_basis(ring: Ring, n: int, degree: int | None = None) -> list[BasisIndex]:
     """All basis indices for the n-th power (unit excluded), sorted by
-    (degree, odd part, even part, pad); optionally filtered by degree."""
+    (degree, odd part, even part, pad); optionally filtered by degree.
+
+    Candidates are raw (odd, even, pad) tuples with their degree read off
+    `ring.slot_degree`; a `BasisIndex` is built only for the ones kept."""
     if n < 2:
         raise ValueError("tensor power must have n >= 2")
     if degree is not None and degree < 0:
         raise ValueError(f"need degree >= 0, got degree={degree}")
     odd_positions = ring.odd_positions
     even_positions = ring.even_positions
-    out = []
+    slot_degree = ring.slot_degree
+    kept = []
     for k in range(0, min(n, len(odd_positions)) + 1):
         for odd in itertools.combinations(odd_positions, k):
             budget = n - k
+            odd_degree = sum(map(slot_degree, odd))
             for even in _even_multisets(even_positions, budget):
                 if k + len(even) == 0:
                     continue
-                idx = BasisIndex(odd, even, budget - sum(m for _, m in even))
-                if degree is None or idx.degree(ring) == degree:
-                    out.append(idx)
-    out.sort(key=lambda i: (i.degree(ring), i.odd, i.even, i.pad))
-    return out
+                d = odd_degree + sum(m * slot_degree(p) for p, m in even)
+                if degree is None or d == degree:
+                    kept.append((d, odd, even, budget - sum(m for _, m in even)))
+    kept.sort()
+    return [BasisIndex(odd, even, pad) for _, odd, even, pad in kept]
 
 
 def _even_multisets(positions, budget):
@@ -220,22 +225,6 @@ def expand(t: TensorElement) -> dict[BasisIndex, Fraction]:
                   -coeff * idx.leading_multiplier)
         if least in work:
             raise InternalInconsistencyError("leading term failed to cancel")
-    return out
-
-
-def expand_via_pairing(t: TensorElement, candidates) -> dict[BasisIndex, Fraction]:
-    """Cross-check expansion: read coefficients off dual pairings.
-
-    With the slotwise pairing convention, the coefficient of an index is
-    the value of t against its dual element.
-    """
-    ring = t.ring
-    out = {}
-    for idx in candidates:
-        dual = dual_element(ring, idx)
-        c = t.terms.get(dual.slots, Fraction(0)) * dual.coefficient
-        if c:
-            out[idx] = c
     return out
 
 
@@ -435,12 +424,6 @@ def index_to_dict(ring: Ring, idx: BasisIndex) -> dict:
     }
 
 
-def index_from_dict(ring: Ring, doc: dict) -> BasisIndex:
-    odd = tuple(ring.position[name] for name in doc["odd"])
-    even = tuple((ring.position[name], int(m)) for name, m in doc["even"])
-    return BasisIndex(odd, even, int(doc["pad"]))
-
-
 def table_layout(table: StructureTable):
     """What a written table is made of, decided in one place for every
     writer: the document without its products, each basis class's label,
@@ -485,22 +468,3 @@ def table_to_dict(table: StructureTable) -> dict:
         for (i, j), entry in table.entries.items()
     ]
     return doc
-
-
-def table_from_dict(ring: Ring, doc: dict) -> StructureTable:
-    table = StructureTable.__new__(StructureTable)
-    table.ring = ring
-    table.n = int(doc["n"])
-    table.max_degree = int(doc["max_degree"])
-    by_label = {}
-    basis = []
-    for item in doc["generators"]:
-        idx = index_from_dict(ring, item["index"])
-        by_label[item["name"]] = idx
-        basis.append(idx)
-    table.basis = basis
-    table.entries = {}
-    for item in doc["products"]:
-        entry = {by_label[t["gen"]]: int(t["coeff"]) for t in item["result"]}
-        table.entries[(by_label[item["left"]], by_label[item["right"]])] = entry
-    return table

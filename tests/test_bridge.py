@@ -5,13 +5,14 @@ from symprod.bridge import (
     SurfacePowerMap,
     check_isomorphism,
     multiplicativity_spot_check,
-    report_from_dict,
     report_to_dict,
     surface_power_map,
 )
 from symprod.fixtures import surface_ring
 from symprod.quotient import Monomial, Polynomial, betti
 from symprod.sympower import IndexProduct
+
+from oracles import report_from_dict
 
 
 def test_surface_ring_structure():

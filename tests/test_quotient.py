@@ -230,8 +230,9 @@ def test_minimal_set_of_wrong_size_is_a_typed_error(monkeypatch):
 
 
 def test_relation_leading_coefficient_not_unit_is_a_typed_error(monkeypatch):
-    whole = relation_poly
-    monkeypatch.setattr("symprod.quotient.relation_poly", lambda m: 2 * whole(m))
+    whole = quotient._mask_relation_row
+    monkeypatch.setattr("symprod.quotient._mask_relation_row",
+                        lambda mask, g: {t: 2 * c for t, c in whole(mask, g).items()})
     with pytest.raises(QuotientInvariantError, match="leading coefficient -2, not"):
         normal_form(parse_poly("x1.x'1.y"), 1, 2)
 

@@ -14,16 +14,15 @@ from symprod.sympower import (
     dual_element,
     enumerate_basis,
     expand,
-    expand_via_pairing,
-    index_from_dict,
     index_to_dict,
     pair,
     realize,
     structure_constants,
-    table_from_dict,
     table_to_dict,
 )
 from symprod.tensors import Perm, TensorElement, act, elementary, tensor_multiply
+
+from oracles import expand_via_pairing, index_from_dict, table_from_dict
 
 
 def idx(ring, odd=(), even=(), pad=0):
