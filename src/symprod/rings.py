@@ -93,6 +93,8 @@ class Ring:
         self.position = {g.name: i for i, g in enumerate(self.generators)}
         self.unit_slot = len(self.generators)
         self._degrees = [g.degree for g in self.generators] + [0]
+        # by slot: 1 for an odd generator, 0 for an even one or the unit
+        self.odd_flags = [d % 2 for d in self._degrees]
         self.products: dict[tuple[int, int], dict[int, int]] = {}
         for (left, right), combo in products.items():
             i, j = self._pos(left), self._pos(right)

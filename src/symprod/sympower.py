@@ -14,6 +14,7 @@ outcome.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -242,29 +243,33 @@ class IndexProduct:
 
     Calling ``IndexProduct(ring)(i, j)`` gives the coordinates of
     realize(i) * realize(j), ordered by sorted slot tuple, as ``expand``
-    orders them.  With e_i the sorted elementary tensor of i, the
-    realization of i is (1/pad_i!) times the sum of e_i acted on by every
-    permutation, and the product is equivariant, so the product is
-    (1/pad_i!) times the sum over the group of T = e_i * realize(j) acted
-    on.  The coefficient of an index k is the product's value at
-    sorted_slots(k) over leading_multiplier(k); the stabilizer of that
-    arrangement has pad_k! * leading_multiplier(k) elements, hence
+    orders them; ``row(i, js)`` gives them for every j in js at once.
+    With e_i the sorted elementary tensor of i, the realization of i is
+    (1/pad_i!) times the sum of e_i acted on by every permutation, and the
+    product is equivariant, so the product is (1/pad_i!) times the sum over
+    the group of T = e_i * realize(j) acted on.  The coefficient of an
+    index k is the product's value at sorted_slots(k) over
+    leading_multiplier(k); the stabilizer of that arrangement has
+    pad_k! * leading_multiplier(k) elements, hence
 
         c_k = pad_k! / pad_i! * (sum of sgn(t) * T[t] over the terms t of
               T that sort to sorted_slots(k)),
 
     sgn(t) being the Koszul sign of sorting t.  A term repeating an odd
     generator sums to zero over the group and is dropped.  One product
-    costs |orbit of j| slotwise products instead of |orbit of i| * |orbit
-    of j| rational terms and an expansion; the division by pad_i! is the
+    costs at most |orbit of j| slotwise products instead of |orbit of i| *
+    |orbit of j| rational terms and an expansion: the orbit is kept in
+    blocks by first slot, and a block whose first slot multiplies i's
+    first slot to zero is skipped whole.  The division by pad_i! is the
     integrality certificate.  The slot-product table, the orbits and the
-    sorted forms are cached per instance.
+    sorted forms are cached per instance, and ``row`` reads i's slots and
+    slot-product rows once for all of js.
     """
 
     def __init__(self, ring: Ring):
         self.ring = ring
         slots = range(ring.unit_slot + 1)
-        self._odd = [ring.slot_degree(s) % 2 for s in slots]
+        self._odd = ring.odd_flags
         # The product of tensors is equivariant only if products of
         # generators add degree parities.
         for (a, b), combo in ring.products.items():
@@ -276,74 +281,90 @@ class IndexProduct:
                         "so products of invariant tensors are not invariant")
         self._mul = [[tuple(ring.gen_product(a, b).items()) for b in slots]
                      for a in slots]
-        self._orbits: dict[tuple[BasisIndex, int], list[tuple[tuple[int, ...], int]]] = {}
+        self._orbits: dict[tuple[BasisIndex, int], list[tuple[int, list]]] = {}
         self._sorted: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {}
         self._indices: dict[tuple[int, ...], BasisIndex] = {}
 
     def __call__(self, i: BasisIndex, j: BasisIndex) -> dict[BasisIndex, int]:
+        return self.row(i, [j])[0]
+
+    def row(self, i: BasisIndex, js) -> list[dict[BasisIndex, int]]:
+        """The products i * j for each j in js, in order."""
         a = i.sorted_slots(self.ring)
-        orbit = self._orbit(j, len(i.odd))
-        if len(a) != len(orbit[0][0]):
-            raise ValueError(f"index arities differ: {i.arity} vs {j.arity}")
-        rows = [self._mul[s] for s in a]
-        acc: dict[tuple[int, ...], int] = {}
-        for b, coeff in orbit:
-            terms = [((), coeff)]
-            for row, s in zip(rows, b):
-                combo = row[s]
-                if not combo:
-                    break
-                if len(combo) == 1:
-                    (t, v), = combo
-                    terms = [(pref + (t,), c * v) for pref, c in terms]
-                else:
-                    terms = [(pref + (t,), c * v)
-                             for pref, c in terms for t, v in combo]
-            else:
-                for slots, c in terms:
-                    hit = self._sort(slots)
-                    if hit is not None:
-                        key, sign = hit
-                        acc[key] = acc.get(key, 0) + sign * c
-        out = {}
+        first, *rest = [self._mul[s] for s in a]
+        odd_left = len(i.odd)
         den = factorial(i.pad)
-        for key in sorted(acc):
-            total = acc[key]
-            if not total:
-                continue
-            k = self._index(key)
-            num = factorial(k.pad) * total
-            c, rem = divmod(num, den)
-            if rem:
-                ring = self.ring
-                raise TheoremViolationError(
-                    f"non-integer structure constant {Fraction(num, den)} in "
-                    f"{i.label(ring)} * {j.label(ring)} at {k.label(ring)}")
-            out[k] = c
+        orbits = self._orbits
+        known = self._sorted
+        out = []
+        for j in js:
+            blocks = orbits.get((j, odd_left)) or self._orbit(j, odd_left)
+            # every tail in j's orbit is one slot shorter than j
+            if len(blocks[0][1][0][0]) != len(rest):
+                raise ValueError(f"index arities differ: {i.arity} vs {j.arity}")
+            acc: dict[tuple[int, ...], int] = {}
+            for b0, block in blocks:
+                head = first[b0]
+                if not head:
+                    continue
+                for tail, coeff in block:
+                    terms = [((t,), coeff * v) for t, v in head]
+                    for slot_row, s in zip(rest, tail):
+                        combo = slot_row[s]
+                        if not combo:
+                            break
+                        if len(combo) == 1:
+                            (t, v), = combo
+                            terms = [(pref + (t,), c * v) for pref, c in terms]
+                        else:
+                            terms = [(pref + (t,), c * v)
+                                     for pref, c in terms for t, v in combo]
+                    else:
+                        for slots, c in terms:
+                            hit = known[slots] if slots in known else self._sort(slots)
+                            if hit is not None:
+                                key, sign = hit
+                                acc[key] = acc.get(key, 0) + sign * c
+            # c_k = pad_k! * acc[k] / pad_i!, by sorted key
+            result = {}
+            for key in sorted(acc):
+                total = acc[key]
+                if not total:
+                    continue
+                k = self._index(key)
+                num = factorial(k.pad) * total
+                c, rem = divmod(num, den)
+                if rem:
+                    ring = self.ring
+                    raise TheoremViolationError(
+                        f"non-integer structure constant {Fraction(num, den)} in "
+                        f"{i.label(ring)} * {j.label(ring)} at {k.label(ring)}")
+                result[k] = c
+            out.append(result)
         return out
 
-    def _orbit(self, j: BasisIndex, odd_left: int) -> list[tuple[tuple[int, ...], int]]:
+    def _orbit(self, j: BasisIndex, odd_left: int) -> list[tuple[int, list]]:
         """The terms b of realize(j), with integer coefficients times the
         interchange sign of e * b for an e whose first ``odd_left`` slots
         are its odd ones: (-1)^(sum over p < q of |b_p| |e_q|) counts, for
-        each odd b_p, the odd slots of e after position p."""
-        orbit = self._orbits.get((j, odd_left))
-        if orbit is None:
-            lead = j.leading_multiplier
-            odd = self._odd
-            orbit = []
-            for b, sign in signed_arrangements(self.ring, j.sorted_slots(self.ring)):
-                flips = sum(odd_left - 1 - p for p in range(odd_left - 1) if odd[b[p]])
-                orbit.append((b, -lead * sign if flips % 2 else lead * sign))
-            self._orbits[(j, odd_left)] = orbit
+        each odd b_p, the odd slots of e after position p.  The terms come
+        in lex order, so those sharing a first slot b[0] are contiguous;
+        they are kept as blocks (b[0], [(b[1:], coeff), ...]).  Built on a
+        miss of the cache that ``row`` reads."""
+        lead = j.leading_multiplier
+        odd = self._odd
+        orbit = []
+        for b, sign in signed_arrangements(self.ring, j.sorted_slots(self.ring)):
+            flips = sum(odd_left - 1 - p for p in range(odd_left - 1) if odd[b[p]])
+            if not orbit or orbit[-1][0] != b[0]:
+                orbit.append((b[0], []))
+            orbit[-1][1].append((b[1:], -lead * sign if flips % 2 else lead * sign))
+        self._orbits[(j, odd_left)] = orbit
         return orbit
 
     def _sort(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-        """Sorted slots and Koszul sign, or None if an odd slot repeats."""
-        try:
-            return self._sorted[slots]
-        except KeyError:
-            pass
+        """Sorted slots and Koszul sign, or None if an odd slot repeats.
+        Computed on a miss of the cache that ``row`` reads."""
         key, sign = sorted_slots_with_sign(self.ring, slots)
         hit = None if has_repeated_odd(self.ring, key) else (key, sign)
         self._sorted[slots] = hit
@@ -383,12 +404,16 @@ class StructureTable:
         mirror = not ring.commutativity_violations()
         degrees = [idx.degree(ring) for idx in self.basis]
         for a, (i, di) in enumerate(zip(self.basis, degrees)):
-            for b, (j, dj) in enumerate(zip(self.basis, degrees)):
-                if di + dj > max_degree:
-                    continue
-                if not mirror or a <= b:
-                    entries[(i, j)] = product(i, j)
-                elif di * dj % 2:
+            # the basis is sorted by degree: the partners within the bound
+            # are a prefix, and one kernel row computes the new products
+            stop = bisect_right(degrees, max_degree - di)
+            start = min(a, stop) if mirror else 0
+            computed = iter(product.row(i, self.basis[start:stop]))
+            for b in range(stop):
+                j = self.basis[b]
+                if b >= start:
+                    entries[(i, j)] = next(computed)
+                elif di * degrees[b] % 2:
                     entries[(i, j)] = {k: -c for k, c in entries[(j, i)].items()}
                 else:
                     entries[(i, j)] = entries[(j, i)]

@@ -221,16 +221,24 @@ def _odd_suffix_counts(ring: Ring, slots: tuple[int, ...]) -> list[int]:
     return suffix
 
 
-def sorted_slots_with_sign(ring: Ring, slots: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Ascending sort of the slots and the Koszul sign of getting there.
+def _koszul_sign(odd: list[int], slots: tuple[int, ...]) -> int:
+    """Koszul sign of sorting the slots: only transpositions of two odd
+    slots contribute, so it is the inversion parity of the odd entries,
+    read off the ring's ``odd_flags``."""
+    seen = []
+    inv = 0
+    for s in slots:
+        if odd[s]:
+            for t in seen:
+                if t > s:
+                    inv += 1
+            seen.append(s)
+    return -1 if inv & 1 else 1
 
-    Only transpositions of two odd slots contribute a sign, so the sign is
-    the inversion parity of the odd-slot subsequence.
-    """
-    odd = [s for s in slots if ring.slot_degree(s) % 2]
-    inv = sum(1 for a in range(len(odd)) for b in range(a + 1, len(odd))
-              if odd[a] > odd[b])
-    return tuple(sorted(slots)), (-1 if inv % 2 else 1)
+
+def sorted_slots_with_sign(ring: Ring, slots: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Ascending sort of the slots and the Koszul sign of getting there."""
+    return tuple(sorted(slots)), _koszul_sign(ring.odd_flags, slots)
 
 
 def signed_arrangements(ring: Ring, sorted_slots: tuple[int, ...]):
@@ -240,10 +248,11 @@ def signed_arrangements(ring: Ring, sorted_slots: tuple[int, ...]):
     The orderings come in ascending order, one next-permutation step each,
     so a multiset with k distinct orderings costs k steps, not n!.
     """
+    odd = ring.odd_flags
     arr = sorted(sorted_slots)
     while True:
         slots = tuple(arr)
-        yield slots, sorted_slots_with_sign(ring, slots)[1]
+        yield slots, _koszul_sign(odd, slots)
         # the rightmost ascent arr[i] < arr[i + 1]; none left means the
         # ordering is descending, the last one
         i = len(arr) - 2
@@ -270,8 +279,8 @@ def stabilizer_order(ring: Ring, sorted_slots: tuple[int, ...]) -> int:
 
 
 def has_repeated_odd(ring: Ring, sorted_slots: tuple[int, ...]) -> bool:
-    return any(a == b and ring.slot_degree(a) % 2
-               for a, b in zip(sorted_slots, sorted_slots[1:]))
+    odd = ring.odd_flags
+    return any(a == b and odd[a] for a, b in zip(sorted_slots, sorted_slots[1:]))
 
 
 def symmetrize(t: TensorElement) -> TensorElement:

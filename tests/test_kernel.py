@@ -1,8 +1,11 @@
-"""The integer product kernel against the tensor oracle.
+"""The integer product kernel against the tensor oracle and its reference.
 
 The oracle multiplies realized basis elements as rational tensors and
 expands the product greedily (``realize``, ``tensor_multiply``,
 ``expand``); the kernel must reproduce it exactly, entry order included.
+The reference is the kernel without its first-slot blocks and rows
+(``oracles.IndexProductReference``); the kernel must give its dicts too,
+key order included, on the same inputs and at larger sizes.
 """
 
 import itertools
@@ -11,6 +14,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import IndexProductReference
 
 from symprod import fixtures
 from symprod.bridge import SurfacePowerMap
@@ -42,12 +46,25 @@ def oracle_entries(ring, n, max_degree):
     return entries
 
 
-def assert_same_table(ring, n, max_degree):
-    got = structure_constants(ring, n, max_degree).entries
-    want = oracle_entries(ring, n, max_degree)
+def assert_same_entries(got, want):
     assert got == want
     assert list(got) == list(want)
     assert all(list(got[key]) == list(want[key]) for key in want)
+
+
+def assert_same_table(ring, n, max_degree):
+    table = structure_constants(ring, n, max_degree)
+    assert_same_entries(table.entries, oracle_entries(ring, n, max_degree))
+    assert_matches_reference(table)
+
+
+def assert_matches_reference(table, pairs=None):
+    """Every entry of the table (or those of ``pairs``) equals the
+    reference kernel's product, key order included."""
+    reference = IndexProductReference(table.ring)
+    pairs = list(table.entries) if pairs is None else pairs
+    assert_same_entries({key: table.entries[key] for key in pairs},
+                        {(i, j): reference(i, j) for i, j in pairs})
 
 
 # the torus with a2*a1 = +b: its generators do not commute up to sign, so
@@ -93,6 +110,31 @@ def test_bridge_coordinates_equal_expanded_images(g, n):
             if s:
                 basis = enumerate_basis(fmap.ring, n, degree=s)
                 assert fmap.coordinates(p, s) == [want.get(k, 0) for k in basis]
+
+
+@pytest.mark.parametrize("g,n", [(g, n) for g in (1, 2, 3) for n in (2, 3, 4)])
+def test_surface_chains_equal_reference_chains(g, n):
+    # the bridge multiplies through ``__call__``, one product at a time
+    fmap, reference_map = SurfacePowerMap(g, n), SurfacePowerMap(g, n)
+    reference_map._kernel = IndexProductReference(reference_map.ring)
+    for s in range(2 * n + 1):
+        for m in monomials_of_degree(g, s):
+            got = fmap.monomial_coordinates(m)
+            want = reference_map.monomial_coordinates(m)
+            assert (got, list(got)) == (want, list(want)), m
+
+
+@pytest.mark.parametrize("ring,n,max_degree", [
+    (fixtures.surface_ring(2), 6, 12),
+    (fixtures.surface_ring(3), 4, 8),
+], ids=["surface_g2-n6-d12", "surface_g3-n4-d8"])
+def test_pinned_tables_equal_reference(ring, n, max_degree):
+    # the tables whose JSON digests test_goldens pins; the mirrored half
+    # is the other order of a pair checked here
+    table = structure_constants(ring, n, max_degree)
+    index = {idx: a for a, idx in enumerate(table.basis)}
+    assert_matches_reference(table, [(i, j) for i, j in table.entries
+                                      if index[i] <= index[j]])
 
 
 def test_chained_products_equal_tensor_products():
@@ -162,16 +204,17 @@ def test_kernel_rejects_arity_mismatch():
     (NONCOMMUTATIVE_TORUS, 3, 6, 60, 60),
 ], ids=["surface_g2-n4-d8", "torus-n2-d4", "noncommutative-n2-d4", "noncommutative-n3-d6"])
 def test_kernel_calls_per_table(monkeypatch, ring, n, max_degree, calls, entries):
-    # a graded-commutative table multiplies each unordered pair once
+    # a graded-commutative table multiplies each unordered pair once; a
+    # table asks the kernel for whole rows, so count the products in each
     counted = 0
-    call = IndexProduct.__call__
+    row = IndexProduct.row
 
-    def counting(self, i, j):
+    def counting(self, i, js):
         nonlocal counted
-        counted += 1
-        return call(self, i, j)
+        counted += len(js)
+        return row(self, i, js)
 
-    monkeypatch.setattr(IndexProduct, "__call__", counting)
+    monkeypatch.setattr(IndexProduct, "row", counting)
     table = structure_constants(ring, n, max_degree)
     assert (counted, len(table.entries)) == (calls, entries)
 

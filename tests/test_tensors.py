@@ -213,6 +213,31 @@ def test_signed_arrangements_match_distinct_permutations():
         assert list(signed_arrangements(ring, multiset)) == want
 
 
+def test_koszul_signs_equal_brute_force_inversion_parity():
+    # every permutation carrying a multiset with distinct odd slots to an
+    # arrangement inverts its odd entries the same number of times mod 2;
+    # that parity, read from the degrees, is the arrangement's sign
+    ring = fixtures.surface_ring(2)
+    slots = range(ring.unit_slot + 1)
+    odd = [s for s in slots if ring.slot_degree(s) % 2]
+    even = [s for s in slots if not ring.slot_degree(s) % 2]
+    rng = random.Random(1618)
+    for _ in range(150):
+        multiset = tuple(sorted(rng.sample(odd, rng.randint(0, len(odd)))
+                                + [rng.choice(even) for _ in range(rng.randint(0, 3))]))
+        want: dict[tuple[int, ...], set[int]] = {}
+        for perm in itertools.permutations(range(len(multiset))):
+            inversions = sum(1 for p, q in itertools.combinations(perm, 2)
+                             if p > q and multiset[p] in odd and multiset[q] in odd)
+            arr = tuple(multiset[p] for p in perm)
+            want.setdefault(arr, set()).add(-1 if inversions % 2 else 1)
+        assert all(len(signs) == 1 for signs in want.values())
+        got = dict(signed_arrangements(ring, multiset))
+        assert got == {arr: sign for arr, (sign,) in want.items()}
+        for arr, sign in got.items():
+            assert sorted_slots_with_sign(ring, arr) == (multiset, sign)
+
+
 def test_signed_arrangements_cost_the_orbit_not_the_group(sphere):
     # (b, 1^13): 14 arrangements out of 14! permutations
     b, one = sphere.position["b"], sphere.unit_slot
