@@ -19,6 +19,7 @@ from .fixtures import surface_ring
 from .quotient import (
     Monomial,
     Polynomial,
+    _indices,
     ideal_generators,
     monomials_of_degree,
     multiply_nf,
@@ -68,11 +69,17 @@ class SurfacePowerMap:
     ``image`` and ``image_of_monomial`` build the image as a tensor, the
     reference the tests compare against; the spread-class tensors ``xi``,
     ``xi_prime`` and ``eta`` they use are built on first use.
-    ``coordinates`` works in the tensor-power basis instead: the image of a
-    monomial is the chain of integer kernel products of the spread classes
-    chi[a_i], chi[a_{i+g}] and chi[b] in the canonical written order.
-    Kernel products are cached per map, and the tensor-power basis is
-    enumerated once per map and grouped by degree.
+    ``coordinates`` works in the tensor-power basis instead, from a store
+    of images keyed by (xs, xp, q).  A monomial's image is computed once:
+    the stored image of its prefix, the monomial without its last written
+    generator (the written order is xs, then xp, then y), times that
+    generator's spread class chi[a_i], chi[a_{i+g}] or chi[b], one integer
+    kernel product per term: the chain of kernel products in the written
+    order, with no prefix's image computed twice.  Stored dicts are
+    shared: callers must never change one.  Kernel products are cached
+    per map.  The tensor-power basis is enumerated once per map; the
+    kernel keys its results by those basis objects, and ``positions``
+    groups them by degree.
     """
 
     def __init__(self, g: int, n: int, ring: Ring | None = None):
@@ -85,9 +92,12 @@ class SurfacePowerMap:
         self._xi_prime_idx = {i: BasisIndex((pos[f"a{i + g}"],), (), n - 1)
                               for i in range(1, g + 1)}
         self._eta_idx = BasisIndex((), ((pos["b"], 1),), n - 1)
-        self._unit_idx = BasisIndex((), (), n)
-        self._kernel = IndexProduct(self.ring)
+        self._basis = enumerate_basis(self.ring, n)
+        self._kernel = IndexProduct(self.ring, self._basis)
         self._products: dict[tuple[BasisIndex, BasisIndex], dict[BasisIndex, int]] = {}
+        self._images: dict[tuple[tuple[int, ...], tuple[int, ...], int],
+                           dict[BasisIndex, int]] = {
+            ((), (), 0): {BasisIndex((), (), n): 1}}
 
     def _spread(self, name: str) -> TensorElement:
         return sym_element(self.ring, self.n, [self.ring.gen(name)])
@@ -141,9 +151,25 @@ class SurfacePowerMap:
             vec = out
         return vec
 
+    def _image(self, xs: tuple[int, ...], xp: tuple[int, ...],
+               q: int) -> dict[BasisIndex, int]:
+        # the stored image of x_{xs} x'_{xp} y^q, built from its prefix's
+        # on a miss; the unit's is stored from the start
+        vec = self._images.get((xs, xp, q))
+        if vec is None:
+            if q:
+                prefix, gen = (xs, xp, q - 1), self._eta_idx
+            elif xp:
+                prefix, gen = (xs, xp[:-1], 0), self._xi_prime_idx[xp[-1]]
+            else:
+                prefix, gen = (xs[:-1], (), 0), self._xi_idx[xs[-1]]
+            vec = self._images[(xs, xp, q)] = self.times(self._image(*prefix), [gen])
+        return vec
+
     def monomial_coordinates(self, m: Monomial) -> dict[BasisIndex, int]:
-        """Basis coordinates of image_of_monomial(m)."""
-        return self.times({self._unit_idx: 1}, self.generator_indices(m))
+        """Basis coordinates of image_of_monomial(m): the stored dict,
+        which the caller must not change."""
+        return self._image(m.xs, m.xp, m.q)
 
     def polynomial_coordinates(self, p: Polynomial) -> dict[BasisIndex, int]:
         """Basis coordinates of image(p); empty iff the image is zero."""
@@ -152,13 +178,26 @@ class SurfacePowerMap:
             add_terms(out, self.monomial_coordinates(m).items(), c)
         return out
 
+    def row_coordinates(self, row: lattice.SparseRow, d: int) -> dict[BasisIndex, int]:
+        """Basis coordinates of the image of the degree-d polynomial whose
+        row, keyed by `quotient._mask(t, g)` as `GeneratorSet.rows(g)`
+        keys it, is ``row``: a mask's set bits are its x and x' indices,
+        and q = (d - popcount) / 2.  Empty iff the image is zero."""
+        g = self.g
+        low = ~(-1 << g)
+        out: dict[BasisIndex, int] = {}
+        for t, c in row.items():
+            xs, xp = _indices(t & low), _indices(t >> g)
+            add_terms(out, self._image(xs, xp, (d - len(xs) - len(xp)) // 2).items(), c)
+        return out
+
     @cached_property
     def positions(self) -> dict[int, dict[BasisIndex, int]]:
         """Degree -> {basis index: its place in that degree's basis}."""
         out: dict[int, dict[BasisIndex, int]] = {}
         # enumerate_basis sorts by degree first, so each degree's indices
         # come in the order enumerate_basis(..., degree=s) gives them
-        for idx in enumerate_basis(self.ring, self.n):
+        for idx in self._basis:
             pos = out.setdefault(idx.degree(self.ring), {})
             pos[idx] = len(pos)
         return out
@@ -208,19 +247,20 @@ def check_isomorphism(g: int, n: int, mode: str = "full",
     Rows are images of quotient-basis monomials expanded in the tensor
     basis, one matrix per degree up to 2n (or the configured cutoff, in
     which case the report is only partial).  Also checks that the chosen
-    generating set of the relation ideal maps to zero.
+    generating set of the relation ideal maps to zero, reading each
+    relation's closed-form row, never a decoded polynomial.
     """
     if g < 1 or n < 2:
         raise ValueError(f"need g >= 1 and n >= 2, got g={g}, n={n}")
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"need max_degree >= 0, got max_degree={max_degree}")
-    relations = ideal_generators(g, n, mode).polys
+    relations = ideal_generators(g, n, mode).rows(g)
     top = 2 * n if max_degree is None else min(max_degree, 2 * n)
     report = BridgeReport(g, n, mode, max_degree=top)
     report.degrees.extend(bridge_degree(g, n, s) for s in range(top + 1))
     fmap = surface_power_map(g, n)
     report.relations_vanish = not any(
-        fmap.polynomial_coordinates(poly) for poly in relations)
+        fmap.row_coordinates(row, d) for d, row in relations)
     return report
 
 

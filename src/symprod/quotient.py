@@ -168,8 +168,9 @@ def relation_poly(m: Monomial) -> Polynomial:
 
     This is the decoded view of the closed form `_relation_row`: the same
     terms in the same order, each mask read back as a monomial of m's
-    degree.  `GeneratorSet.polys` (so `bridge`) and the tests read it;
-    `verify`, `relations` and `normal_form` read the rows.
+    degree.  `GeneratorSet.polys` (so the surface walkthrough demo) and
+    the tests read it; `verify`, `relations`, `normal_form` and `bridge`
+    read the rows.
     """
     g, d = m.max_index, m.degree  # `_mask` keeps the variable order for any g >= the indices
     return Polynomial({_monomial(t, g, d): c for t, c in _relation_row(m, g).items()})
@@ -255,12 +256,13 @@ class GeneratorSet:
     `GeneratorSet(mode, monomials)`, as `ideal_generators` builds it, holds
     the relation of each monomial.  Its rows come from the closed form
     `_relation_row`, and `polys` is decoded by `relation_poly` only when
-    something reads it: `bridge` and the tests.
+    something reads it: the surface walkthrough demo and the tests.
     `GeneratorSet(mode, monomials, polys)` holds the given polynomials,
     with `monomials` naming them (or left empty), and its rows are their
-    `_row`s.  `ideal_bases`, `ideal_degree_rows`, `verify_minimality` and
-    the `relations` command (through `format_row`) read only the row view,
-    so neither `verify` nor `relations` builds a `Polynomial`.
+    `_row`s.  `ideal_bases`, `ideal_degree_rows`, `verify_minimality`, the
+    `relations` command (through `format_row`) and the bridge's relation
+    check read only the row view, so none of `verify`, `relations` and
+    `bridge` builds a relation as a `Polynomial`.
     """
 
     def __init__(self, mode: str, monomials: list[Monomial],

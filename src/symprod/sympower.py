@@ -263,10 +263,13 @@ class IndexProduct:
     first slot to zero is skipped whole.  The division by pad_i! is the
     integrality certificate.  The slot-product table, the orbits and the
     sorted forms are cached per instance, and ``row`` reads i's slots and
-    slot-product rows once for all of js.
+    slot-product rows once for all of js.  A result is keyed by the index
+    of ``basis`` with its sorted slots when there is one, so a consumer
+    that passes its basis objects finds every result key among them by
+    identity; other keys are built from the slots.
     """
 
-    def __init__(self, ring: Ring):
+    def __init__(self, ring: Ring, basis=()):
         self.ring = ring
         slots = range(ring.unit_slot + 1)
         self._odd = ring.odd_flags
@@ -283,7 +286,8 @@ class IndexProduct:
                      for a in slots]
         self._orbits: dict[tuple[BasisIndex, int], list[tuple[int, list]]] = {}
         self._sorted: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {}
-        self._indices: dict[tuple[int, ...], BasisIndex] = {}
+        self._indices: dict[tuple[int, ...], BasisIndex] = {
+            idx.sorted_slots(ring): idx for idx in basis}
 
     def __call__(self, i: BasisIndex, j: BasisIndex) -> dict[BasisIndex, int]:
         return self.row(i, [j])[0]
@@ -397,10 +401,9 @@ class StructureTable:
                       if idx.degree(ring) <= max_degree]
         self.entries: dict[tuple[BasisIndex, BasisIndex], dict[BasisIndex, int]] = {}
         entries = self.entries
-        product = IndexProduct(ring)
         # results keyed by the basis objects themselves: the writers look
         # each key up in dicts keyed by the basis, and hit on identity
-        product._indices.update((idx.sorted_slots(ring), idx) for idx in self.basis)
+        product = IndexProduct(ring, self.basis)
         mirror = not ring.commutativity_violations()
         degrees = [idx.degree(ring) for idx in self.basis]
         for a, (i, di) in enumerate(zip(self.basis, degrees)):

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from symprod import bridge
+from symprod import bridge, quotient, sympower
 from symprod.bridge import (
     SurfacePowerMap,
     check_isomorphism,
@@ -8,9 +10,19 @@ from symprod.bridge import (
     report_to_dict,
     surface_power_map,
 )
+from symprod.cli import main
 from symprod.fixtures import surface_ring
-from symprod.quotient import Monomial, Polynomial, betti
-from symprod.sympower import IndexProduct
+from symprod.quotient import (
+    GeneratorSet,
+    InvalidModeError,
+    Monomial,
+    Polynomial,
+    betti,
+    ideal_generators,
+    monomials_of_degree,
+    relation_poly,
+)
+from symprod.sympower import BasisIndex, IndexProduct
 
 from oracles import report_from_dict
 
@@ -119,3 +131,113 @@ def test_one_map_per_run_computes_each_product_once(monkeypatch, g, n, pairs):
     fmap = surface_power_map(g, n)
     assert calls == {"kernel": pairs, "basis": 1}
     assert len(fmap._products) == pairs
+
+
+@pytest.mark.parametrize("g,n,steps", [(2, 4, 85), (3, 4, 212), (4, 3, 321), (2, 5, 104)])
+def test_one_map_per_run_images_each_monomial_once(monkeypatch, g, n, steps):
+    # a stored image is its prefix's times one spread class: one chain step
+    # per monomial imaged, plus the steps of the spot check's continued
+    # chains (chaining every image from the unit took 298, 992, 1335 and
+    # 411 steps); and every kernel result is one of the map's basis
+    # objects, so no index is rebuilt from its slots
+    calls = {"steps": 0, "from_slots": 0}
+    times, from_slots = SurfacePowerMap.times, sympower.index_from_sorted_slots
+
+    def count_steps(self, vec, gens):
+        calls["steps"] += len(gens)
+        return times(self, vec, gens)
+
+    def count_from_slots(*args):
+        calls["from_slots"] += 1
+        return from_slots(*args)
+
+    monkeypatch.setattr(SurfacePowerMap, "times", count_steps)
+    monkeypatch.setattr(sympower, "index_from_sorted_slots", count_from_slots)
+    surface_power_map.cache_clear()
+    assert check_isomorphism(g, n).verdict == "isomorphism"
+    assert multiplicativity_spot_check(g, n, seed=0)
+    assert calls == {"steps": steps, "from_slots": 0}
+
+
+@pytest.mark.parametrize("g,n", [(g, n) for g in (1, 2, 3) for n in (2, 3, 4)])
+def test_stored_images_equal_chains_from_the_unit(g, n):
+    fmap = SurfacePowerMap(g, n)
+    unit = BasisIndex((), (), n)
+    for s in range(2 * n + 1):
+        for m in monomials_of_degree(g, s):
+            got = fmap.monomial_coordinates(m)
+            want = fmap.times({unit: 1}, fmap.generator_indices(m))
+            assert (got, list(got)) == (want, list(want)), m
+
+
+def test_runs_reusing_the_map_give_identical_output(capsys):
+    # the CLI run reuses the map check_isomorphism built, and the third run
+    # builds a new one: a caller changing a stored image would show as a
+    # difference between them
+    surface_power_map.cache_clear()
+    runs = []
+    for g, n in [(3, 4), (2, 4), (3, 4)]:
+        report = report_to_dict(check_isomorphism(g, n))
+        spot = multiplicativity_spot_check(g, n)
+        assert main(["bridge", "--g", str(g), "--n", str(n), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == {**report, "multiplicative_spot_check": spot}
+        runs.append((report, spot, out))
+    assert runs[0] == runs[2]
+    assert runs[0][0]["verdict"] == "isomorphism"
+
+
+def _valid_modes():
+    for g in (1, 2, 3):
+        for n in (2, 3, 4, 5):
+            for mode in ("full", "stable", "minimal_odd", "minimal_even"):
+                try:
+                    ideal_generators(g, n, mode)
+                except InvalidModeError:
+                    continue
+                yield g, n, mode
+    yield 4, 3, "full"
+
+
+@pytest.mark.parametrize("g,n,mode", _valid_modes())
+def test_relation_rows_map_like_decoded_relations(g, n, mode):
+    # a relation's image vanishes, so each term is compared on its own too
+    gens = ideal_generators(g, n, mode)
+    fmap = SurfacePowerMap(g, n)
+    nonzero = 0
+    for m, (d, row) in zip(gens.monomials, gens.rows(g)):
+        poly = relation_poly(m)
+        assert fmap.row_coordinates(row, d) == fmap.polynomial_coordinates(poly) == {}
+        for (t, c), (term, coeff) in zip(row.items(), poly.terms.items(), strict=True):
+            got = fmap.row_coordinates({t: c}, d)
+            assert got == fmap.polynomial_coordinates(Polynomial.monomial(term, coeff))
+            nonzero += bool(got)
+    assert nonzero
+
+
+def test_relation_check_builds_no_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("relation decoded as a polynomial")
+
+    monkeypatch.setattr(quotient, "relation_poly", refuse)
+    monkeypatch.setattr(GeneratorSet, "polys", property(refuse))
+    report = check_isomorphism(3, 4)
+    assert report.relations_vanish and report.verdict == "isomorphism"
+
+
+def test_relation_row_missing_a_term_does_not_vanish(monkeypatch):
+    # the first term of a row with a paired block has weight <= n, a
+    # quotient-basis monomial whose image is nonzero
+    rows = GeneratorSet.rows
+
+    def drop_one_term(self, g):
+        out = list(rows(self, g))
+        k = next(k for k, (_, row) in enumerate(out) if len(row) > 1)
+        d, row = out[k]
+        out[k] = (d, dict(list(row.items())[1:]))
+        return out
+
+    monkeypatch.setattr(GeneratorSet, "rows", drop_one_term)
+    report = check_isomorphism(3, 4)
+    assert report.relations_vanish is False
+    assert report.verdict == "mismatch"
