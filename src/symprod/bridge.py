@@ -69,8 +69,10 @@ class SurfacePowerMap:
     ``image`` and ``image_of_monomial`` build the image as a tensor, the
     reference the tests compare against; the spread-class tensors ``xi``,
     ``xi_prime`` and ``eta`` they use are built on first use.
-    ``coordinates`` works in the tensor-power basis instead, from a store
-    of images keyed by (xs, xp, q).  A monomial's image is computed once:
+    ``coordinates(m, degree)`` works in the tensor-power basis instead: it
+    takes a quotient-basis monomial and writes its image, read from a store
+    of images keyed by (xs, xp, q), as a dense row over the degree's
+    basis.  A monomial's image is computed once:
     the stored image of its prefix, the monomial without its last written
     generator (the written order is xs, then xp, then y), times that
     generator's spread class chi[a_i], chi[a_{i+g}] or chi[b], one integer
@@ -202,11 +204,13 @@ class SurfacePowerMap:
             pos[idx] = len(pos)
         return out
 
-    def coordinates(self, p: Polynomial, degree: int) -> list[int]:
-        """Integer coordinates of the image in the tensor-power basis."""
+    def coordinates(self, m: Monomial, degree: int) -> list[int]:
+        """Integer coordinates of the image of the degree-``degree``
+        monomial m, as a dense row over that degree's tensor-power basis,
+        read from the stored image."""
         pos = self.positions.get(degree, {})
         vec = [0] * len(pos)
-        for idx, c in self.polynomial_coordinates(p).items():
+        for idx, c in self.monomial_coordinates(m).items():
             vec[pos[idx]] = c
         return vec
 
@@ -226,7 +230,7 @@ def bridge_degree(g: int, n: int, s: int) -> DegreeMatrix:
     fmap = surface_power_map(g, n)
     monos = quotient_basis(g, n, s)
     tensor_rank = len(fmap.positions.get(s, {}))
-    matrix = [fmap.coordinates(Polynomial.monomial(m), s) for m in monos]
+    matrix = [fmap.coordinates(m, s) for m in monos]
     smith = lattice.smith(matrix) if matrix else []
     # a square matrix is unimodular exactly when its Smith invariants are all 1
     return DegreeMatrix(

@@ -16,6 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 
 from . import lattice
 from .rings import add_terms
@@ -92,20 +93,14 @@ ONE = Monomial((), (), 0)
 Y = Monomial((), (), 1)
 
 
-def _ranks(m: Monomial):
-    # global variable order: unprimed by index, then primed by index
-    return [(0, i) for i in m.xs] + [(1, i) for i in m.xp]
-
-
 def monomial_mul(m1: Monomial, m2: Monomial) -> tuple[Monomial, int] | None:
     """Product with the exterior sign, or None when a variable repeats."""
-    if set(m1.xs) & set(m2.xs) or set(m1.xp) & set(m2.xp):
+    g = max(m1.max_index, m2.max_index)
+    a, b = _mask(m1, g), _mask(m2, g)
+    if a & b:
         return None
-    w1, w2 = _ranks(m1), _ranks(m2)
-    inversions = sum(1 for u in w1 for v in w2 if u > v)
-    prod = Monomial(tuple(sorted(m1.xs + m2.xs)),
-                    tuple(sorted(m1.xp + m2.xp)), m1.q + m2.q)
-    return prod, (-1 if inversions % 2 else 1)
+    sign = -1 if (b & _below(a)).bit_count() & 1 else 1
+    return _monomial(a | b, g, m1.degree + m2.degree), sign
 
 
 class Polynomial:
@@ -220,33 +215,33 @@ def _mask_relation_row(mask: int, g: int) -> lattice.SparseRow:
     return row
 
 
-def _pairs_of_weight(g: int, e: int):
-    # every index-set pair (xs, xp) with |xs| + |xp| == e
+def _monomials(g: int, s: int, counts) -> list[Monomial]:
+    # the degree-s monomials in the variables of index <= g with e exterior
+    # variables, for each e in counts (increasing, of the parity of s), in
+    # `Monomial.sort_key` order: within degree s the weight is (s + e) / 2,
+    # so that order is (e, xs, xp)
     indices = range(1, g + 1)
-    for a in range(max(0, e - g), min(g, e) + 1):
-        for xs in itertools.combinations(indices, a):
-            for xp in itertools.combinations(indices, e - a):
-                yield xs, xp
+    out = []
+    for e in counts:
+        pairs = sorted((xs, xp) for a in range(max(0, e - g), min(g, e) + 1)
+                       for xs in itertools.combinations(indices, a)
+                       for xp in itertools.combinations(indices, e - a))
+        out += [Monomial(xs, xp, (s - e) // 2) for xs, xp in pairs]
+    return out
 
 
 def monomials_of_weight(g: int, w: int) -> list[Monomial]:
     """Every monomial of weight w in the variables of index <= g, in
-    `Monomial.sort_key` order: the index-set pairs with |xs| + |xp| = e <= w,
-    each with q = w - e."""
-    out = [Monomial(xs, xp, w - e)
-           for e in range(w + 1) for xs, xp in _pairs_of_weight(g, e)]
-    out.sort(key=lambda m: m.sort_key)
-    return out
+    `Monomial.sort_key` order: for e = w, w - 1, ..., 0 exterior
+    variables, the monomials of degree 2w - e with q = w - e."""
+    return [m for e in range(w, -1, -1) for m in _monomials(g, 2 * w - e, (e,))]
 
 
 def monomials_of_degree(g: int, s: int) -> list[Monomial]:
     """Every monomial of degree s in the variables of index <= g, in
     `Monomial.sort_key` order: the index-set pairs with |xs| + |xp| = e of
     the parity of s, each with q = (s - e) / 2."""
-    out = [Monomial(xs, xp, (s - e) // 2)
-           for e in range(s % 2, s + 1, 2) for xs, xp in _pairs_of_weight(g, e)]
-    out.sort(key=lambda m: m.sort_key)
-    return out
+    return _monomials(g, s, range(s % 2, s + 1, 2))
 
 
 class GeneratorSet:
@@ -321,8 +316,7 @@ def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
             raise InvalidModeError(f"minimal modes need 2 <= n <= 2g-2, got g={g}, n={n}")
         if (n % 2 == 1) != want_odd:
             raise InvalidModeError(f"{mode} needs n of matching parity, got n={n}")
-        monomials = sorted((Monomial(xs, xp, 0) for xs, xp in _pairs_of_weight(g, n + 1)),
-                           key=lambda m: m.sort_key)
+        monomials = _monomials(g, n + 1, (n + 1,))
         if len(monomials) != comb(2 * g, n + 1):
             raise QuotientInvariantError(
                 f"{len(monomials)} degree-{n + 1} relations for g={g}, n={n}, "
@@ -402,17 +396,15 @@ def betti(g: int, n: int, k: int) -> int:
 
 
 def quotient_basis(g: int, n: int, s: int) -> list[Monomial]:
-    """Normal-form support monomials in degree s: everything up to degree
-    n, the primitive monomials (weight <= n) in the middle range, the pure
-    top power of y in degree 2n."""
+    """Normal-form support monomials in degree s, in `Monomial.sort_key`
+    order: those of weight <= n.  A degree-s monomial with e exterior
+    variables has weight (s + e) / 2, so these are the ones with
+    e <= min(s, 2n - s): every monomial up to degree n, the primitive ones
+    in the middle range, and y^n alone in degree 2n.  Only these are
+    built."""
     if not 0 <= s <= 2 * n:
         raise ValueError(f"degree {s} outside 0..{2 * n}")
-    monomials = monomials_of_degree(g, s)
-    if s <= n:
-        return monomials
-    if s == 2 * n:
-        return [m for m in monomials if m == Monomial((), (), n)]
-    return [m for m in monomials if m.weight <= n]
+    return _monomials(g, s, range(s % 2, min(s, 2 * n - s) + 1, 2))
 
 
 # -- lattice views of the ideal --------------------------------------------
@@ -703,14 +695,16 @@ def _parse_word(word: str, g: int | None, context: str) -> tuple[Monomial, int]:
     return mono, (-1 if inversions % 2 else 1)
 
 
-def format_poly(p: Polynomial) -> str:
-    if p.is_zero():
+def _write(terms: list) -> str:
+    # the terms (key, word, c) in key order, each as +-|c|*word
+    if not terms:
         return "0"
-    bits = []
-    for m in sorted(p.terms, key=lambda m: m.sort_key):
-        c = p.terms[m]
-        bits.append(f"{'+' if c > 0 else '-'}{abs(c)}*{m.word()}")
-    return "".join(bits)
+    terms.sort(key=itemgetter(0))
+    return "".join([f"{'+' if c > 0 else '-'}{abs(c)}*{word}" for _, word, c in terms])
+
+
+def format_poly(p: Polynomial) -> str:
+    return _write([(m.sort_key, m.word(), c) for m, c in p.terms.items()])
 
 
 def format_row(row: lattice.SparseRow, g: int, d: int) -> str:
@@ -718,12 +712,9 @@ def format_row(row: lattice.SparseRow, g: int, d: int) -> str:
     `_mask(t, g)`, is `row`, read off the masks: within one degree the
     weight is (d + popcount) / 2, so `Monomial.sort_key` order is
     (popcount, xs, xp) order."""
-    if not row:
-        return "0"
     terms = []
     for t, c in row.items():
         xs, xp = _indices(t & ~(-1 << g)), _indices(t >> g)
-        terms.append(((len(xs) + len(xp), xs, xp), c))
-    terms.sort(key=lambda term: term[0])
-    return "".join([f"{'+' if c > 0 else '-'}{abs(c)}*{_word(xs, xp, (d - e) // 2)}"
-                    for (e, xs, xp), c in terms])
+        e = len(xs) + len(xp)
+        terms.append(((e, xs, xp), _word(xs, xp, (d - e) // 2), c))
+    return _write(terms)

@@ -61,10 +61,6 @@ class Perm:
         return f"Perm{self.images}"
 
     @staticmethod
-    def identity(n: int) -> "Perm":
-        return Perm(range(n))
-
-    @staticmethod
     def transposition(n: int, i: int, j: int) -> "Perm":
         images = list(range(n))
         images[i], images[j] = images[j], images[i]

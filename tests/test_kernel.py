@@ -109,7 +109,7 @@ def test_bridge_coordinates_equal_expanded_images(g, n):
             assert fmap.polynomial_coordinates(p) == want, (m, s)
             if s:
                 basis = enumerate_basis(fmap.ring, n, degree=s)
-                assert fmap.coordinates(p, s) == [want.get(k, 0) for k in basis]
+                assert fmap.coordinates(m, s) == [want.get(k, 0) for k in basis]
 
 
 @pytest.mark.parametrize("g,n", [(g, n) for g in (1, 2, 3) for n in (2, 3, 4)])

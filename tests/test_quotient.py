@@ -71,6 +71,31 @@ def test_monomial_mul_signs():
     assert monomial_mul(Y, mono([1], [1])) == (mono([1], [1], 1), 1)
 
 
+def monomial_mul_reference(m1, m2):
+    """Reference `monomial_mul`: in the global variable order (unprimed
+    by index, then primed by index) count the pairs of a variable of m1
+    after a variable of m2."""
+    if set(m1.xs) & set(m2.xs) or set(m1.xp) & set(m2.xp):
+        return None
+    w1 = [(0, i) for i in m1.xs] + [(1, i) for i in m1.xp]
+    w2 = [(0, i) for i in m2.xs] + [(1, i) for i in m2.xp]
+    inversions = sum(1 for u in w1 for v in w2 if u > v)
+    prod = Monomial(tuple(sorted(m1.xs + m2.xs)),
+                    tuple(sorted(m1.xp + m2.xp)), m1.q + m2.q)
+    return prod, (-1 if inversions % 2 else 1)
+
+
+def test_monomial_mul_matches_pairwise_inversions_g_le_3():
+    cases = 0
+    for g in range(4):
+        monomials = [m for s in range(5) for m in monomials_of_degree_reference(g, s)]
+        for m1 in monomials:
+            for m2 in monomials:
+                assert monomial_mul(m1, m2) == monomial_mul_reference(m1, m2), (m1, m2)
+                cases += 1
+    assert cases == 3 ** 2 + 9 ** 2 + 28 ** 2 + 80 ** 2
+
+
 def test_polynomial_mul_anticommutes():
     x1 = Polynomial.monomial(mono(xs=[1]))
     xp1 = Polynomial.monomial(mono(xp=[1]))
@@ -441,10 +466,39 @@ def test_quotient_basis_examples():
     assert quotient_basis(1, 2, 0) == [ONE]
 
 
-def test_quotient_basis_counts_match_betti():
-    for g, n in [(1, 2), (1, 3), (2, 2), (2, 3)]:
-        for s in range(2 * n + 1):
-            assert len(quotient_basis(g, n, s)) == betti(g, n, s), (g, n, s)
+def quotient_basis_reference(g, n, s):
+    """Reference `quotient_basis`: every monomial of degree s, filtered."""
+    monomials = monomials_of_degree_reference(g, s)
+    if s <= n:
+        return monomials
+    if s == 2 * n:
+        return [m for m in monomials if m == Monomial((), (), n)]
+    return [m for m in monomials if m.weight <= n]
+
+
+def test_quotient_basis_matches_weight_filter_g_le_5():
+    for g in range(6):
+        for n in range(7):
+            for s in range(2 * n + 1):
+                assert quotient_basis(g, n, s) == quotient_basis_reference(g, n, s), (g, n, s)
+
+
+def test_quotient_basis_counts_match_betti(monkeypatch):
+    # and only the monomials it returns are built
+    built = []
+    check = Monomial.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counting)
+    for g in range(5):
+        for n in range(6):
+            for s in range(2 * n + 1):
+                built.clear()
+                basis = quotient_basis(g, n, s)
+                assert len(built) == len(basis) == betti(g, n, s), (g, n, s)
 
 
 # -- lattice certification --------------------------------------------------------
@@ -898,6 +952,30 @@ def test_format_examples():
     assert format_poly(Polynomial({mono([1], [2], 4): 3})) == "+3*x1.x'2.y^4"
     assert format_poly(Polynomial()) == "0"
     assert format_poly(Polynomial({ONE: -2})) == "-2*1"
+    # mixed degrees, in `Monomial.sort_key` order
+    assert format_poly(parse_poly("x1.x'1.y + y + x1")) == "+1*x1+1*y+1*x1.x'1.y"
+    assert (format_poly(parse_poly("x'2 - 3*x1.x'1.y + y + x1 + x2.x1 - 2*y^2 + 1"))
+            == "+1*1+1*x'2+1*x1+1*y-1*x1.x2-2*y^2-3*x1.x'1.y")
+
+
+def format_poly_reference(p):
+    """Reference `format_poly`: the terms in `Monomial.sort_key` order."""
+    if p.is_zero():
+        return "0"
+    bits = []
+    for m in sorted(p.terms, key=lambda m: m.sort_key):
+        c = p.terms[m]
+        bits.append(f"{'+' if c > 0 else '-'}{abs(c)}*{m.word()}")
+    return "".join(bits)
+
+
+def test_format_poly_matches_sort_key_writer_on_mixed_degrees():
+    rng = random.Random(3141)
+    monomials = [m for s in range(7) for m in monomials_of_degree_reference(3, s)]
+    for _ in range(300):
+        p = Polynomial({m: rng.choice([-3, -1, 1, 2])
+                        for m in rng.sample(monomials, rng.randint(0, 12))})
+        assert format_poly(p) == format_poly_reference(p), p.terms
 
 
 def test_parse_round_trip():
