@@ -20,8 +20,9 @@ from .quotient import (
     Monomial,
     Polynomial,
     _indices,
+    _mask_pairs,
+    _monomial,
     ideal_generators,
-    monomials_of_degree,
     multiply_nf,
     quotient_basis,
 )
@@ -271,17 +272,20 @@ def check_isomorphism(g: int, n: int, mode: str = "full",
 def multiplicativity_spot_check(g: int, n: int, samples: int = 8,
                                 seed: int = 0) -> bool:
     """Random monomial pairs: the image of the reduced product must match
-    the product of the images."""
+    the product of the images.  The pool holds every monomial of degree
+    1..n, in `monomials_of_degree` order, as a (degree, mask) pair; only
+    the sampled ones are built as monomials."""
     fmap = surface_power_map(g, n)
     rng = random.Random(seed)
-    pool = [m for s in range(1, n + 1) for m in monomials_of_degree(g, s)]
+    pool = [p for s in range(1, n + 1) for p in _mask_pairs(g, s, range(s % 2, s + 1, 2))]
     for _ in range(samples):
-        m1, m2 = rng.choice(pool), rng.choice(pool)
+        (d1, a), (d2, b) = rng.choice(pool), rng.choice(pool)
+        m1, m2 = _monomial(a, g, d1), _monomial(b, g, d2)
         # image(m1) * image(m2), by associativity the chain of m1's
         # generators continued by m2's
         direct = fmap.times(fmap.monomial_coordinates(m1),
                             fmap.generator_indices(m2))
-        if m1.degree + m2.degree > 2 * n:
+        if d1 + d2 > 2 * n:
             if direct:
                 return False
             continue

@@ -210,22 +210,21 @@ def cmd_betti(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    """The JSON is exactly ``json_text`` of {"g", "n", "mode", "count",
+    "generators": [{"monomial", "poly"}, ...]}, each item written straight
+    into the text: words and relations hold only ASCII letters, digits and
+    ``'.^+-*``, which JSON does not escape."""
     gens = quotient.ideal_generators(args.g, args.n, args.mode)
-    doc = {
-        "g": args.g,
-        "n": args.n,
-        "mode": gens.mode,
-        "count": len(gens.monomials),
-        "generators": [{"monomial": m.word(), "poly": quotient.format_row(row, args.g, d)}
-                       for m, (d, row) in zip(gens.monomials, gens.rows(args.g))],
-    }
-
-    def text(doc):
-        print(f"{doc['count']} generators ({doc['mode']})")
-        for item in doc["generators"]:
-            print(f"{item['poly']}    [from {item['monomial']}]")
-
-    _emit(args, text, doc)
+    texts = quotient._relation_texts(gens, args.g)
+    if args.format == "text":
+        print("\n".join([f"{len(texts)} generators ({gens.mode})"]
+                        + [f"{poly}    [from {word}]" for word, poly in texts]))
+        return EXIT_OK
+    items = ",\n    ".join([f'{{\n      "monomial": "{word}",\n      "poly": "{poly}"\n    }}'
+                            for word, poly in texts])
+    # every generating set holds at least one relation
+    print(f'{{\n  "count": {len(texts)},\n  "g": {args.g},\n  "generators": [\n    {items}\n  ],'
+          f'\n  "mode": {encode_basestring_ascii(gens.mode)},\n  "n": {args.n}\n}}')
     return EXIT_OK
 
 

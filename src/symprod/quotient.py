@@ -16,7 +16,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from math import comb
-from operator import itemgetter
 
 from . import lattice
 from .rings import add_terms
@@ -77,11 +76,11 @@ class Monomial:
         return max(self.xs + self.xp, default=0)
 
     def word(self) -> str:
-        return _word(self.xs, self.xp, self.q)
+        return _word([f"x{i}" for i in self.xs] + [f"x'{i}" for i in self.xp], self.q)
 
 
-def _word(xs, xp, q: int) -> str:
-    parts = [f"x{i}" for i in xs] + [f"x'{i}" for i in xp]
+def _word(parts: list[str], q: int) -> str:
+    # the written exterior variables `parts`, in order, then y^q
     if q == 1:
         parts.append("y")
     elif q > 1:
@@ -162,10 +161,10 @@ def relation_poly(m: Monomial) -> Polynomial:
     coefficient +-1.
 
     This is the decoded view of the closed form `_relation_row`: the same
-    terms in the same order, each mask read back as a monomial of m's
-    degree.  `GeneratorSet.polys` (so the surface walkthrough demo) and
-    the tests read it; `verify`, `relations`, `normal_form` and `bridge`
-    read the rows.
+    terms in the same order, the order `format_poly` writes them, each
+    mask read back as a monomial of m's degree.  `GeneratorSet.polys` (so
+    the surface walkthrough demo) and the tests read it; `verify`,
+    `relations`, `normal_form` and `bridge` read the rows.
     """
     g, d = m.max_index, m.degree  # `_mask` keeps the variable order for any g >= the indices
     return Polynomial({_monomial(t, g, d): c for t, c in _relation_row(m, g).items()})
@@ -193,26 +192,43 @@ def _mask_relation_row(mask: int, g: int) -> lattice.SparseRow:
     v > u, counted by popcount against `_below` of base, and one per pair
     of blocks (x'_k before x_l).  So the sign is (-1)^(|S| + C(|S|, 2))
     times (-1)^(e_k) for each k in S, with e_k the parity of base's bits
-    above x_k and x'_k.  Terms come in the order the product taken one
-    bracket at a time gives them: subset order, with the first paired index
-    as the most significant bit.
+    above x_k and x'_k.
+
+    Terms come in the order `format_poly` writes them, so a writer reads
+    the row as it is: fewer blocks first (each block adds 2 to the
+    popcount), then the subsets S of one size in lex order, which is the
+    lex order of their terms' xs.
     """
     paired = mask & mask >> g  # bit k-1 for each paired index k
+    if not paired:
+        return {mask: 1}
     base = mask ^ (paired | paired << g)
     below = _below(base)
-    # the masks in subset order, and the subset bits of the blocks with odd e_k
-    masks, odd = [base], 0
+    # each block with a bit above the layout for an odd e_k: a sum of
+    # blocks is their union plus, above 2g, the number of odd ones
+    top = 2 * g
+    blocks = []
     while paired:
         low = paired & -paired
         paired ^= low
         block = low | low << g
-        odd = odd << 1 | (below & block).bit_count() & 1
-        masks = [t for mask in masks for t in (mask, mask | block)]
+        blocks.append(block | ((below & block).bit_count() & 1) << top)
     row = {}
-    for subset, mask in enumerate(masks):
-        size = subset.bit_count()
-        row[mask] = -1 if (size * (size + 1) // 2 + (subset & odd).bit_count()) & 1 else 1
+    for size in range(len(blocks) + 1):
+        flip = size * (size + 1) // 2
+        for v in map(sum, itertools.combinations(blocks, size)):
+            row[base | v & ~(-1 << top)] = -1 if (flip + (v >> top)) & 1 else 1
     return row
+
+
+def _subset_pairs(items, e: int) -> list[tuple[tuple, tuple]]:
+    # the pairs (xs, xp) of increasing tuples of items with |xs| + |xp| = e,
+    # sorted; items increase, so indices 1..g and their bits 1, 2, .., 2^(g-1)
+    # give the pairs in the same order
+    g = len(items)
+    return sorted((xs, xp) for a in range(max(0, e - g), min(g, e) + 1)
+                  for xs in itertools.combinations(items, a)
+                  for xp in itertools.combinations(items, e - a))
 
 
 def _monomials(g: int, s: int, counts) -> list[Monomial]:
@@ -220,14 +236,15 @@ def _monomials(g: int, s: int, counts) -> list[Monomial]:
     # variables, for each e in counts (increasing, of the parity of s), in
     # `Monomial.sort_key` order: within degree s the weight is (s + e) / 2,
     # so that order is (e, xs, xp)
-    indices = range(1, g + 1)
-    out = []
-    for e in counts:
-        pairs = sorted((xs, xp) for a in range(max(0, e - g), min(g, e) + 1)
-                       for xs in itertools.combinations(indices, a)
-                       for xp in itertools.combinations(indices, e - a))
-        out += [Monomial(xs, xp, (s - e) // 2) for xs, xp in pairs]
-    return out
+    return [Monomial(xs, xp, (s - e) // 2)
+            for e in counts for xs, xp in _subset_pairs(range(1, g + 1), e)]
+
+
+def _mask_pairs(g: int, s: int, counts) -> list[tuple[int, int]]:
+    # (s, `_mask(m, g)`) per monomial m of `_monomials(g, s, counts)`, in
+    # that order, with no monomial built
+    bits = [1 << i for i in range(g)]
+    return [(s, sum(xs) | sum(xp) << g) for e in counts for xs, xp in _subset_pairs(bits, e)]
 
 
 def monomials_of_weight(g: int, w: int) -> list[Monomial]:
@@ -245,34 +262,59 @@ def monomials_of_degree(g: int, s: int) -> list[Monomial]:
 
 
 class GeneratorSet:
-    """Generators of an ideal, in three views: `monomials`, `polys` and
-    the row view `rows(g)`.
+    """Generators of an ideal, in four views: the (degree, mask) pairs of
+    the monomials that name them, `monomials`, `polys` and the row view
+    `rows(g)`.
 
-    `GeneratorSet(mode, monomials)`, as `ideal_generators` builds it, holds
-    the relation of each monomial.  Its rows come from the closed form
-    `_relation_row`, and `polys` is decoded by `relation_poly` only when
-    something reads it: the surface walkthrough demo and the tests.
-    `GeneratorSet(mode, monomials, polys)` holds the given polynomials,
-    with `monomials` naming them (or left empty), and its rows are their
-    `_row`s.  `ideal_bases`, `ideal_degree_rows`, `verify_minimality`, the
-    `relations` command (through `format_row`) and the bridge's relation
-    check read only the row view, so none of `verify`, `relations` and
-    `bridge` builds a relation as a `Polynomial`.
+    The pairs are primary.  `ideal_generators` builds them alone, each
+    generator the relation of its monomial: its rows come from the closed
+    form `_mask_relation_row`, and `monomials` and `polys` are decoded
+    only when something reads them (the surface walkthrough demo and the
+    tests).  `GeneratorSet(mode, monomials)` is the same set for the given
+    monomials.  `GeneratorSet(mode, monomials, polys)` holds the given
+    polynomials, with `monomials` naming them (or left empty), and its
+    rows are their `_row`s.  `ideal_bases`, `ideal_degree_rows`,
+    `verify_minimality`, the `relations` command and the bridge's relation
+    check read only the pairs and the rows, so none of `verify`,
+    `relations` and `bridge` builds a relation `Monomial` or `Polynomial`.
     """
 
     def __init__(self, mode: str, monomials: list[Monomial],
                  polys: list[Polynomial] | None = None):
         self.mode = mode
-        self.monomials = monomials
+        self._monomials = monomials
         self._polys = polys
         self._closed_form = polys is None
+        self._layout = max((m.max_index for m in monomials), default=0)
+        self._pairs = [(m.degree, _mask(m, self._layout)) for m in monomials]
         self._rows: dict[int, list[tuple[int | None, lattice.SparseRow]]] = {}
+
+    @classmethod
+    def _of_masks(cls, mode: str, g: int, pairs: list[tuple[int, int]]) -> "GeneratorSet":
+        # the relations of the monomials (degree, `_mask(m, g)`) in pairs
+        gens = cls(mode, [])
+        gens._monomials, gens._layout, gens._pairs = None, g, pairs
+        return gens
+
+    @property
+    def monomials(self) -> list[Monomial]:
+        if self._monomials is None:
+            self._monomials = [_monomial(mask, self._layout, d) for d, mask in self._pairs]
+        return self._monomials
 
     @property
     def polys(self) -> list[Polynomial]:
         if self._polys is None:
             self._polys = [relation_poly(m) for m in self.monomials]
         return self._polys
+
+    def _masks(self, g: int) -> list[tuple[int, int]]:
+        # the pairs laid out for g: (degree, `_mask(m, g)`) per monomial m
+        if g == self._layout:
+            return self._pairs
+        if any(m.max_index > g for m in self.monomials):
+            raise ValueError(f"variable index exceeds g={g}")
+        return [(m.degree, _mask(m, g)) for m in self.monomials]
 
     def rows(self, g: int) -> list[tuple[int | None, lattice.SparseRow]]:
         """(degree, row) per generator, the row keyed by `_mask(t, g)` over
@@ -282,7 +324,7 @@ class GeneratorSet:
         rows = self._rows.get(g)
         if rows is None:
             if self._closed_form:
-                rows = [(m.degree, _relation_row(m, g)) for m in self.monomials]
+                rows = [(d, _mask_relation_row(mask, g)) for d, mask in self._masks(g)]
             else:
                 if any(p.max_index() > g for p in self._polys):
                     raise ValueError(f"variable index exceeds g={g}")
@@ -300,33 +342,36 @@ def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
     C(2g, n+1) relations of degree n+1, plus for even n the one extra
     relation y * prod_{k<=n/2} (y - x_k x'_k).  The degree-(n+1) ones are
     the weight-(n+1) monomials with q = 0, and only those are enumerated.
+
+    The monomials are enumerated as (degree, `_mask(m, g)`) pairs, in the
+    order of `monomials_of_weight`, and none is built as a `Monomial`.
     """
     if g < 1 or n < 2:
         raise InvalidModeError(f"need g >= 1 and n >= 2, got g={g}, n={n}")
     if mode == "full":
-        monomials = monomials_of_weight(g, n + 1)
+        w = n + 1
+        pairs = [p for e in range(w, -1, -1) for p in _mask_pairs(g, 2 * w - e, (e,))]
     elif mode == "stable":
         if n < 2 * g - 1:
             raise InvalidModeError(f"stable mode needs n >= 2g-1, got g={g}, n={n}")
-        everything = tuple(range(1, g + 1))
-        monomials = [Monomial(everything, everything, n - 2 * g + 1)]
+        pairs = [(2 * (n - g + 1), ~(-1 << 2 * g))]  # every variable, y^(n - 2g + 1)
     elif mode in ("minimal_odd", "minimal_even"):
         want_odd = mode == "minimal_odd"
         if not (2 <= n <= 2 * g - 2):
             raise InvalidModeError(f"minimal modes need 2 <= n <= 2g-2, got g={g}, n={n}")
         if (n % 2 == 1) != want_odd:
             raise InvalidModeError(f"{mode} needs n of matching parity, got n={n}")
-        monomials = _monomials(g, n + 1, (n + 1,))
-        if len(monomials) != comb(2 * g, n + 1):
+        pairs = _mask_pairs(g, n + 1, (n + 1,))
+        if len(pairs) != comb(2 * g, n + 1):
             raise QuotientInvariantError(
-                f"{len(monomials)} degree-{n + 1} relations for g={g}, n={n}, "
+                f"{len(pairs)} degree-{n + 1} relations for g={g}, n={n}, "
                 f"expected C({2 * g}, {n + 1}) = {comb(2 * g, n + 1)}")
         if not want_odd:
-            half = tuple(range(1, n // 2 + 1))
-            monomials = monomials + [Monomial(half, half, 1)]
+            half = ~(-1 << n // 2)  # x_k x'_k y for k <= n/2
+            pairs.append((n + 2, half | half << g))
     else:
         raise InvalidModeError(f"unknown mode {mode!r}")
-    return GeneratorSet(mode, monomials)
+    return GeneratorSet._of_masks(mode, g, pairs)
 
 
 def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
@@ -562,19 +607,19 @@ def _degrees_equal(small: GeneratorSet, full: GeneratorSet, g: int,
     """`ideals_equal_by_degree(small, full, g, top)`, given small's Hermite
     bases B_0..B_top: one-sided when small is a subset of full, two-sided
     otherwise or when a full generator is left nonzero (see
-    `verify_minimality`).  Generators are compared as the (degree, row)
-    pairs of the row view, and within one degree a row names one
-    polynomial."""
+    `verify_minimality`).  Generators are keyed by the (degree, mask) pairs
+    of their monomials and compared as the (degree, row) pairs of the row
+    view, and within one degree a row names one polynomial."""
     top = len(bases) - 1
     small_rows, full_rows = small.rows(g), full.rows(g)
-    theirs = dict(zip(full.monomials, full_rows))
-    mine = dict(zip(small.monomials, small_rows))
-    aligned = (len(small.monomials) == len(small_rows)
-               and len(full.monomials) == len(full_rows))
-    if aligned and all(theirs.get(m) == gen for m, gen in zip(small.monomials, small_rows)):
+    small_keys, full_keys = small._masks(g), full._masks(g)
+    theirs = dict(zip(full_keys, full_rows))
+    mine = dict(zip(small_keys, small_rows))
+    aligned = len(small_keys) == len(small_rows) and len(full_keys) == len(full_rows)
+    if aligned and all(theirs.get(k) == gen for k, gen in zip(small_keys, small_rows)):
         by_degree: dict[int, list[lattice.SparseRow]] = {}
-        for m, (d, row) in zip(full.monomials, full_rows):
-            if mine.get(m) != (d, row) and d is not None and d <= top:
+        for k, (d, row) in zip(full_keys, full_rows):
+            if mine.get(k) != (d, row) and d is not None and d <= top:
                 by_degree.setdefault(d, []).append(row)
         if all(lattice.all_in_lattice(rows, bases[d]) for d, rows in by_degree.items()):
             return [(s, True) for s in range(top + 1)]
@@ -622,8 +667,9 @@ def verify_minimality(g: int, n: int) -> MinimalityReport:
         degrees_equal=_degrees_equal(minimal, full, g, bases))
     if mode == "minimal_even":
         q0_basis = _degree_basis(g, n + 2, bases[:n + 2], ())
-        extra = next((row for m, (_, row) in zip(minimal.monomials, minimal.rows(g))
-                      if m.q), None)
+        # the relation whose monomial has y-exponent (d - popcount) / 2 > 0
+        extra = next((row for (d, mask), (_, row) in zip(minimal._masks(g), minimal.rows(g))
+                      if d > mask.bit_count()), None)
         report.extra_relation_outside = extra is not None and not lattice.all_in_lattice(
             [extra], q0_basis)
     return report
@@ -695,26 +741,32 @@ def _parse_word(word: str, g: int | None, context: str) -> tuple[Monomial, int]:
     return mono, (-1 if inversions % 2 else 1)
 
 
-def _write(terms: list) -> str:
-    # the terms (key, word, c) in key order, each as +-|c|*word
-    if not terms:
-        return "0"
-    terms.sort(key=itemgetter(0))
-    return "".join([f"{'+' if c > 0 else '-'}{abs(c)}*{word}" for _, word, c in terms])
+def _join(terms) -> str:
+    # the terms (word, c), in the order given, each as +-|c|*word
+    return "".join([f"{'+' if c > 0 else '-'}{abs(c)}*{word}" for word, c in terms]) or "0"
 
 
 def format_poly(p: Polynomial) -> str:
-    return _write([(m.sort_key, m.word(), c) for m, c in p.terms.items()])
+    return _join([(m.word(), c) for m, c in sorted(p.terms.items(),
+                                                   key=lambda term: term[0].sort_key)])
 
 
-def format_row(row: lattice.SparseRow, g: int, d: int) -> str:
-    """`format_poly` of the degree-d polynomial whose row, keyed by
-    `_mask(t, g)`, is `row`, read off the masks: within one degree the
-    weight is (d + popcount) / 2, so `Monomial.sort_key` order is
-    (popcount, xs, xp) order."""
-    terms = []
-    for t, c in row.items():
-        xs, xp = _indices(t & ~(-1 << g)), _indices(t >> g)
-        e = len(xs) + len(xp)
-        terms.append(((e, xs, xp), _word(xs, xp, (d - e) // 2), c))
-    return _write(terms)
+def _relation_texts(gens: GeneratorSet, g: int) -> list[tuple[str, str]]:
+    """(word of the monomial, `format_poly` of its relation) per generator
+    of a set `ideal_generators` built, written from the masks: a word from
+    a mask's bits through a table of the 2g variable tokens, and each
+    relation's terms in the order of its closed-form row, which is the
+    written order.  No index tuple is decoded and nothing is sorted."""
+    tokens = {1 << i: f"x{i + 1}" for i in range(g)}
+    tokens.update({1 << g + i: f"x'{i + 1}" for i in range(g)})
+
+    def word(t: int, d: int) -> str:
+        parts = []
+        while t:
+            low = t & -t
+            parts.append(tokens[low])
+            t ^= low
+        return _word(parts, (d - len(parts)) // 2)
+
+    return [(word(mask, d), _join([(word(t, d), c) for t, c in row.items()]))
+            for (d, mask), (_, row) in zip(gens._masks(g), gens.rows(g))]

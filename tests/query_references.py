@@ -2,17 +2,27 @@
 those paths read the closed form: `normal_form` reducing with decoded
 `relation_poly` polynomials, the `relations` document written by
 `format_poly`, and `enumerate_basis` building every index before it
-filters by degree.  `test_query_paths.py` compares the fast paths with
-them."""
+filters by degree.  Also the quotient model as it was before relation
+generators were kept as masks: the closed form in subset order, the
+generators' monomials as validated `Monomial`s, a row writer that sorts
+its terms, and the bridge spot check's draws from a pool of `Monomial`s.
+`test_query_paths.py` compares the fast paths with them."""
 
 import itertools
+import random
 
 from symprod.quotient import (
+    Monomial,
     NonHomogeneousError,
     Polynomial,
     QuotientInvariantError,
+    _below,
+    _indices,
+    _join,
     format_poly,
     ideal_generators,
+    monomials_of_degree,
+    monomials_of_weight,
     relation_poly,
 )
 from symprod.rings import add_terms
@@ -73,3 +83,60 @@ def enumerate_basis_reference(ring, n, degree=None):
                     out.append(idx)
     out.sort(key=lambda i: (i.degree(ring), i.odd, i.even, i.pad))
     return out
+
+
+def mask_relation_row_reference(mask, g):
+    """The closed form of `quotient._mask_relation_row` in subset order:
+    the terms as the product taken one bracket at a time gives them, with
+    the first paired index as the most significant subset bit."""
+    paired = mask & mask >> g
+    base = mask ^ (paired | paired << g)
+    below = _below(base)
+    masks, odd = [base], 0
+    while paired:
+        low = paired & -paired
+        paired ^= low
+        block = low | low << g
+        odd = odd << 1 | (below & block).bit_count() & 1
+        masks = [t for mask in masks for t in (mask, mask | block)]
+    row = {}
+    for subset, mask in enumerate(masks):
+        size = subset.bit_count()
+        row[mask] = -1 if (size * (size + 1) // 2 + (subset & odd).bit_count()) & 1 else 1
+    return row
+
+
+def generator_monomials_reference(g, n, mode):
+    """The monomials of `ideal_generators(g, n, mode)`, built as validated
+    `Monomial`s by the monomial enumerators (for a valid mode)."""
+    if mode == "full":
+        return monomials_of_weight(g, n + 1)
+    if mode == "stable":
+        everything = tuple(range(1, g + 1))
+        return [Monomial(everything, everything, n - 2 * g + 1)]
+    out = [m for m in monomials_of_degree(g, n + 1) if m.q == 0]
+    if mode == "minimal_even":
+        half = tuple(range(1, n // 2 + 1))
+        out.append(Monomial(half, half, 1))
+    return out
+
+
+def format_row(row, g, d):
+    """`format_poly` of the degree-d polynomial whose row, keyed by
+    `_mask(t, g)`, is `row`, with its terms in any order: within one degree
+    the weight is (d + popcount) / 2, so `Monomial.sort_key` order is
+    (popcount, xs, xp) order, and the terms are sorted by it."""
+    terms = []
+    for t, c in row.items():
+        xs, xp = _indices(t & ~(-1 << g)), _indices(t >> g)
+        e = len(xs) + len(xp)
+        terms.append(((e, xs, xp), Monomial(xs, xp, (d - e) // 2).word(), c))
+    return _join([(word, c) for _, word, c in sorted(terms)])
+
+
+def spot_check_draws_reference(g, n, samples, seed):
+    """The monomial pairs `bridge.multiplicativity_spot_check` draws, from
+    a pool of every monomial of degree 1..n built as a `Monomial`."""
+    rng = random.Random(seed)
+    pool = [m for s in range(1, n + 1) for m in monomials_of_degree(g, s)]
+    return [(rng.choice(pool), rng.choice(pool)) for _ in range(samples)]

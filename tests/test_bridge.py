@@ -25,6 +25,7 @@ from symprod.quotient import (
 from symprod.sympower import BasisIndex, IndexProduct
 
 from oracles import report_from_dict
+from query_references import spot_check_draws_reference
 
 
 def test_surface_ring_structure():
@@ -241,3 +242,22 @@ def test_relation_row_missing_a_term_does_not_vanish(monkeypatch):
     report = check_isomorphism(3, 4)
     assert report.relations_vanish is False
     assert report.verdict == "mismatch"
+
+
+@pytest.mark.parametrize("g,n", [(2, 4), (3, 4), (4, 3), (2, 5)])
+def test_spot_check_draws_what_a_pool_of_monomials_gives(monkeypatch, g, n):
+    # the pool of (degree, mask) pairs has the length and order of the
+    # monomial pool, so seeds 0..9 draw the same pairs, and only those
+    # are decoded
+    drawn = []
+    decode = bridge._monomial
+
+    def recording(mask, layout, d):
+        drawn.append(decode(mask, layout, d))
+        return drawn[-1]
+
+    monkeypatch.setattr(bridge, "_monomial", recording)
+    for seed in range(10):
+        drawn.clear()
+        assert multiplicativity_spot_check(g, n, seed=seed)
+        assert list(zip(drawn[::2], drawn[1::2])) == spot_check_draws_reference(g, n, 8, seed)

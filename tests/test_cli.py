@@ -14,6 +14,7 @@ from symprod.rings import Generator, Ring, RingSpecError, load_ring, ring_from_d
 from symprod.sympower import structure_constants, table_to_dict
 from symprod.fixtures import sphere2_ring
 from oracles import table_from_dict
+from query_references import relations_doc_reference
 from test_kernel import NONCOMMUTATIVE_TORUS
 
 
@@ -381,7 +382,8 @@ def test_json_text_of_a_table_never_calls_json_dumps(monkeypatch):
 
 def test_every_subcommand_json_equals_json_dumps(capsys, monkeypatch):
     # the document each subcommand builds is printed as json.dumps would;
-    # sym-table builds none and is held to table_to_dict's document
+    # sym-table and relations build none and are held to table_to_dict's
+    # and the reference relations document
     docs = []
 
     def recording(doc):
@@ -406,6 +408,10 @@ def test_every_subcommand_json_equals_json_dumps(capsys, monkeypatch):
         if argv[0] == "sym-table":
             assert docs == [], argv
             want = table_doc
+        elif argv[0] in ("relations", "mac"):
+            # written straight from the masks, and held to the reference document
+            assert docs == [], argv
+            want = relations_doc_reference(int(argv[2]), int(argv[4]), argv[6])
         else:
             assert len(docs) == 1, argv
             want = docs[0]

@@ -1,18 +1,20 @@
 """The query commands' fast paths against their references: `normal_form`
-on masks, the `relations` document from the rows, and `enumerate_basis`
-filtering before it builds."""
+on masks, the `relations` document from the rows, `enumerate_basis`
+filtering before it builds, and relation generators kept as masks."""
 
 import os
 import random
 
 import pytest
 
-from symprod import quotient, sympower
+from symprod import bridge, quotient, sympower
 from symprod.cli import json_text, main
 from symprod.fixtures import packaged_fixture_dir
 from symprod.quotient import (
     Polynomial,
+    betti,
     format_poly,
+    ideal_generators,
     monomials_of_degree,
     normal_form,
     parse_poly,
@@ -22,6 +24,9 @@ from symprod.sympower import enumerate_basis
 
 from query_references import (
     enumerate_basis_reference,
+    format_row,
+    generator_monomials_reference,
+    mask_relation_row_reference,
     normal_form_reference,
     relations_doc_reference,
 )
@@ -91,17 +96,81 @@ def test_relations_json_matches_format_poly_of_relation_poly(capsys):
     assert cases == 62
 
 
+def test_relations_text_matches_the_reference_document(capsys):
+    # the text writer prints the reference document's items, one per line
+    for g in range(1, 5):
+        for n in range(2, max(2 * g, 3)):
+            for mode in valid_modes(g, n):
+                doc = relations_doc_reference(g, n, mode)
+                lines = [f"{doc['count']} generators ({doc['mode']})"] + [
+                    f"{item['poly']}    [from {item['monomial']}]" for item in doc["generators"]]
+                code, out, _ = run(capsys, "relations", "--g", str(g), "--n", str(n),
+                                   "--mode", mode)
+                assert (code, out) == (0, "\n".join(lines) + "\n"), (g, n, mode)
+
+
 def test_format_row_is_format_poly_of_the_decoded_row():
     rng = random.Random(2024)
     for g, s in [(1, 4), (3, 5), (4, 6), (6, 3)]:
         pool = monomials_of_degree(g, s)
         for layout in (g, g + 2):
-            assert quotient.format_row({}, layout, s) == format_poly(Polynomial()) == "0"
+            assert format_row({}, layout, s) == format_poly(Polynomial()) == "0"
             for _ in range(20):
                 p = Polynomial({m: rng.choice((-5, -1, 1, 7))
                                 for m in rng.sample(pool, min(6, len(pool)))})
                 row = {quotient._mask(m, layout): c for m, c in p.terms.items()}
-                assert quotient.format_row(row, layout, s) == format_poly(p), (g, s, layout)
+                assert format_row(row, layout, s) == format_poly(p), (g, s, layout)
+
+
+def test_mask_relation_row_is_the_closed_form_in_written_order():
+    # every mask at g <= 4 and 2,000 random ones at g = 5..12: the same dict
+    # as the closed form in subset order, its keys in format_poly's order
+    rng = random.Random(2323)
+    cases = [(g, mask) for g in range(5) for mask in range(1 << 2 * g)]
+    cases += [(g, rng.getrandbits(2 * g)) for g in (rng.randrange(5, 13) for _ in range(2000))]
+    for g, mask in cases:
+        row = quotient._mask_relation_row(mask, g)
+        assert row == mask_relation_row_reference(mask, g), (g, mask)
+        d = mask.bit_count()
+        assert list(row) == sorted(row, key=lambda t: quotient._monomial(t, g, d).sort_key), (g, mask)
+    assert len(cases) == 1 + 4 + 16 + 64 + 256 + 2000
+
+
+def test_generator_sets_keep_the_enumerated_monomials_g_le_5():
+    # every valid mode at g <= 5, n <= 6: the monomials the enumerator built
+    # as `Monomial`s, and the subset-order closed form's rows at a wider
+    # layout; a narrower one leaves out an index the set uses
+    for g in range(1, 6):
+        for n in range(2, 7):
+            for mode in valid_modes(g, n):
+                gens = ideal_generators(g, n, mode)
+                expected = generator_monomials_reference(g, n, mode)
+                assert gens.monomials == expected, (g, n, mode)
+                wide = g + 2
+                assert gens.rows(wide) == [
+                    (m.degree, mask_relation_row_reference(quotient._mask(m, wide), wide))
+                    for m in expected], (g, n, mode)
+                with pytest.raises(ValueError, match=f"variable index exceeds g={g - 1}"):
+                    gens.rows(g - 1)
+
+
+def test_relations_and_the_bridge_build_no_relation_monomial(capsys, monkeypatch):
+    built = []
+    post_init = quotient.Monomial.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(quotient.Monomial, "__post_init__", counting)
+    for fmt in ("json", "text"):
+        code, out, _ = run(capsys, "relations", "--g", "6", "--n", "4",
+                           "--mode", "minimal_even", "--format", fmt)
+        assert code == 0 and out
+    assert built == []
+    # the bridge builds the quotient-basis monomials of degree 1..2n alone
+    assert bridge.check_isomorphism(3, 4).verdict == "isomorphism"
+    assert len(built) == sum(betti(3, 4, s) for s in range(1, 9))
 
 
 FIXTURES = sorted(name for name in os.listdir(packaged_fixture_dir()) if name.endswith(".ring"))
