@@ -20,6 +20,7 @@ from .quotient import (
     Monomial,
     Polynomial,
     _indices,
+    _mask,
     _mask_pairs,
     _monomial,
     ideal_generators,
@@ -68,21 +69,17 @@ class SurfacePowerMap:
     tensor power of the genus-g surface ring.
 
     ``image`` and ``image_of_monomial`` build the image as a tensor, the
-    reference the tests compare against; the spread-class tensors ``xi``,
-    ``xi_prime`` and ``eta`` they use are built on first use.
-    ``coordinates(m, degree)`` works in the tensor-power basis instead: it
-    takes a quotient-basis monomial and writes its image, read from a store
-    of images keyed by (xs, xp, q), as a dense row over the degree's
-    basis.  A monomial's image is computed once:
-    the stored image of its prefix, the monomial without its last written
-    generator (the written order is xs, then xp, then y), times that
-    generator's spread class chi[a_i], chi[a_{i+g}] or chi[b], one integer
-    kernel product per term: the chain of kernel products in the written
-    order, with no prefix's image computed twice.  Stored dicts are
-    shared: callers must never change one.  Kernel products are cached
-    per map.  The tensor-power basis is enumerated once per map; the
-    kernel keys its results by those basis objects, and ``positions``
-    groups them by degree.
+    reference the tests compare against, from the spread-class tensors
+    ``xi``, ``xi_prime`` and ``eta``, built on first use.
+    ``row_coordinates`` and ``coordinates`` read basis coordinates from a
+    store of images keyed by (mask, q), the mask `quotient._mask(m, g)`.
+    A mask's bits in increasing order are the written order and y comes
+    last, so an image is its prefix's times one spread class: the prefix
+    is (mask, q - 1) when q > 0, else the mask without its highest bit.
+    Each image is computed once, and callers must never change a stored
+    dict.  Kernel products are cached per map, and the tensor-power basis
+    is enumerated once per map; the kernel keys its results by those basis
+    objects, and ``positions`` groups them by degree.
     """
 
     def __init__(self, g: int, n: int, ring: Ring | None = None):
@@ -90,17 +87,15 @@ class SurfacePowerMap:
         self.n = n
         self.ring = ring or surface_ring(g)
         pos = self.ring.position
-        self._xi_idx = {i: BasisIndex((pos[f"a{i}"],), (), n - 1)
-                        for i in range(1, g + 1)}
-        self._xi_prime_idx = {i: BasisIndex((pos[f"a{i + g}"],), (), n - 1)
-                              for i in range(1, g + 1)}
+        # the spread class of the generator at mask bit k: x_i at bit i - 1
+        # is chi[a_i], x'_i at bit g + i - 1 is chi[a_{i+g}]
+        self._spread_idx = [BasisIndex((pos[f"a{k + 1}"],), (), n - 1) for k in range(2 * g)]
         self._eta_idx = BasisIndex((), ((pos["b"], 1),), n - 1)
         self._basis = enumerate_basis(self.ring, n)
         self._kernel = IndexProduct(self.ring, self._basis)
         self._products: dict[tuple[BasisIndex, BasisIndex], dict[BasisIndex, int]] = {}
-        self._images: dict[tuple[tuple[int, ...], tuple[int, ...], int],
-                           dict[BasisIndex, int]] = {
-            ((), (), 0): {BasisIndex((), (), n): 1}}
+        self._images: dict[tuple[int, int], dict[BasisIndex, int]] = {
+            (0, 0): {BasisIndex((), (), n): 1}}
 
     def _spread(self, name: str) -> TensorElement:
         return sym_element(self.ring, self.n, [self.ring.gen(name)])
@@ -134,11 +129,10 @@ class SurfacePowerMap:
             out = out + c * self.image_of_monomial(m)
         return out
 
-    def generator_indices(self, m: Monomial) -> list[BasisIndex]:
-        """Spread classes of the generators of m, in the written order."""
-        return ([self._xi_idx[i] for i in m.xs]
-                + [self._xi_prime_idx[j] for j in m.xp]
-                + [self._eta_idx] * m.q)
+    def generator_indices(self, mask: int, q: int) -> list[BasisIndex]:
+        """Spread classes of the generators of the monomial (mask, q), in
+        the written order."""
+        return [self._spread_idx[i - 1] for i in _indices(mask)] + [self._eta_idx] * q
 
     def times(self, vec: dict[BasisIndex, int],
               gens: list[BasisIndex]) -> dict[BasisIndex, int]:
@@ -154,44 +148,30 @@ class SurfacePowerMap:
             vec = out
         return vec
 
-    def _image(self, xs: tuple[int, ...], xp: tuple[int, ...],
-               q: int) -> dict[BasisIndex, int]:
-        # the stored image of x_{xs} x'_{xp} y^q, built from its prefix's
-        # on a miss; the unit's is stored from the start
-        vec = self._images.get((xs, xp, q))
+    def _image(self, mask: int, q: int) -> dict[BasisIndex, int]:
+        # the stored image of the monomial (mask, q), built from its
+        # prefix's on a miss; the unit's is stored from the start
+        vec = self._images.get((mask, q))
         if vec is None:
             if q:
-                prefix, gen = (xs, xp, q - 1), self._eta_idx
-            elif xp:
-                prefix, gen = (xs, xp[:-1], 0), self._xi_prime_idx[xp[-1]]
+                prefix, gen = (mask, q - 1), self._eta_idx
             else:
-                prefix, gen = (xs[:-1], (), 0), self._xi_idx[xs[-1]]
-            vec = self._images[(xs, xp, q)] = self.times(self._image(*prefix), [gen])
+                top = mask.bit_length() - 1
+                prefix, gen = (mask ^ 1 << top, 0), self._spread_idx[top]
+            vec = self._images[(mask, q)] = self.times(self._image(*prefix), [gen])
         return vec
-
-    def monomial_coordinates(self, m: Monomial) -> dict[BasisIndex, int]:
-        """Basis coordinates of image_of_monomial(m): the stored dict,
-        which the caller must not change."""
-        return self._image(m.xs, m.xp, m.q)
-
-    def polynomial_coordinates(self, p: Polynomial) -> dict[BasisIndex, int]:
-        """Basis coordinates of image(p); empty iff the image is zero."""
-        out: dict[BasisIndex, int] = {}
-        for m, c in p.terms.items():
-            add_terms(out, self.monomial_coordinates(m).items(), c)
-        return out
 
     def row_coordinates(self, row: lattice.SparseRow, d: int) -> dict[BasisIndex, int]:
         """Basis coordinates of the image of the degree-d polynomial whose
-        row, keyed by `quotient._mask(t, g)` as `GeneratorSet.rows(g)`
-        keys it, is ``row``: a mask's set bits are its x and x' indices,
-        and q = (d - popcount) / 2.  Empty iff the image is zero."""
-        g = self.g
-        low = ~(-1 << g)
+        row, keyed by `quotient._mask(t, g)` as `GeneratorSet.rows()` keys
+        it, is ``row``: a mask's set bits are its exterior generators, and
+        q = (d - popcount) / 2.  A monomial m is the row {mask: 1}.  Empty
+        iff the image is zero."""
         out: dict[BasisIndex, int] = {}
         for t, c in row.items():
-            xs, xp = _indices(t & low), _indices(t >> g)
-            add_terms(out, self._image(xs, xp, (d - len(xs) - len(xp)) // 2).items(), c)
+            if t >> 2 * self.g:
+                raise ValueError(f"mask {t:#x} has a bit past x'{self.g}")
+            add_terms(out, self._image(t, (d - t.bit_count()) // 2).items(), c)
         return out
 
     @cached_property
@@ -209,9 +189,11 @@ class SurfacePowerMap:
         """Integer coordinates of the image of the degree-``degree``
         monomial m, as a dense row over that degree's tensor-power basis,
         read from the stored image."""
+        if m.max_index > self.g:
+            raise ValueError(f"variable index {m.max_index} exceeds g={self.g}")
         pos = self.positions.get(degree, {})
         vec = [0] * len(pos)
-        for idx, c in self.monomial_coordinates(m).items():
+        for idx, c in self._image(_mask(m, self.g), m.q).items():
             vec[pos[idx]] = c
         return vec
 
@@ -259,7 +241,7 @@ def check_isomorphism(g: int, n: int, mode: str = "full",
         raise ValueError(f"need g >= 1 and n >= 2, got g={g}, n={n}")
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"need max_degree >= 0, got max_degree={max_degree}")
-    relations = ideal_generators(g, n, mode).rows(g)
+    relations = ideal_generators(g, n, mode).rows()
     top = 2 * n if max_degree is None else min(max_degree, 2 * n)
     report = BridgeReport(g, n, mode, max_degree=top)
     report.degrees.extend(bridge_degree(g, n, s) for s in range(top + 1))
@@ -280,17 +262,14 @@ def multiplicativity_spot_check(g: int, n: int, samples: int = 8,
     pool = [p for s in range(1, n + 1) for p in _mask_pairs(g, s, range(s % 2, s + 1, 2))]
     for _ in range(samples):
         (d1, a), (d2, b) = rng.choice(pool), rng.choice(pool)
-        m1, m2 = _monomial(a, g, d1), _monomial(b, g, d2)
-        # image(m1) * image(m2), by associativity the chain of m1's
-        # generators continued by m2's
-        direct = fmap.times(fmap.monomial_coordinates(m1),
-                            fmap.generator_indices(m2))
-        if d1 + d2 > 2 * n:
-            if direct:
-                return False
-            continue
-        reduced = multiply_nf(Polynomial.monomial(m1), Polynomial.monomial(m2), g, n)
-        if fmap.polynomial_coordinates(reduced) != direct:
+        # image(a) * image(b), by associativity the chain of a's generators
+        # continued by b's; the pool's degrees are <= n, so d1 + d2 <= 2n
+        direct = fmap.times(fmap._image(a, (d1 - a.bit_count()) // 2),
+                            fmap.generator_indices(b, (d2 - b.bit_count()) // 2))
+        reduced = multiply_nf(Polynomial.monomial(_monomial(a, g, d1)),
+                              Polynomial.monomial(_monomial(b, g, d2)), g, n)
+        row = {_mask(m, g): c for m, c in reduced.terms.items()}
+        if fmap.row_coordinates(row, d1 + d2) != direct:
             return False
     return True
 

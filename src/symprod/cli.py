@@ -215,7 +215,7 @@ def cmd_relations(args) -> int:
     into the text: words and relations hold only ASCII letters, digits and
     ``'.^+-*``, which JSON does not escape."""
     gens = quotient.ideal_generators(args.g, args.n, args.mode)
-    texts = quotient._relation_texts(gens, args.g)
+    texts = quotient._relation_texts(gens)
     if args.format == "text":
         print("\n".join([f"{len(texts)} generators ({gens.mode})"]
                         + [f"{poly}    [from {word}]" for word, poly in texts]))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from . import lattice
@@ -160,24 +161,15 @@ def relation_poly(m: Monomial) -> Polynomial:
     Expanded, its unique maximal-weight monomial is m itself, with
     coefficient +-1.
 
-    This is the decoded view of the closed form `_relation_row`: the same
-    terms in the same order, the order `format_poly` writes them, each
-    mask read back as a monomial of m's degree.  `GeneratorSet.polys` (so
-    the surface walkthrough demo) and the tests read it; `verify`,
+    This is the decoded view of the closed form `_mask_relation_row`: the
+    same terms in the same order, the order `format_poly` writes them,
+    each mask read back as a monomial of m's degree.  `GeneratorSet.polys`
+    (so the surface walkthrough demo) and the tests read it; `verify`,
     `relations`, `normal_form` and `bridge` read the rows.
     """
     g, d = m.max_index, m.degree  # `_mask` keeps the variable order for any g >= the indices
-    return Polynomial({_monomial(t, g, d): c for t, c in _relation_row(m, g).items()})
-
-
-def _relation_row(m: Monomial, g: int) -> lattice.SparseRow:
-    """The relation of m in closed form, as a row {`_mask(t, g)`: +-1}
-    over the terms t of its degree; see `_mask_relation_row`."""
-    x = sum(1 << (i - 1) for i in m.xs)
-    xp = sum(1 << (j - 1) for j in m.xp)
-    if (x | xp) >> g:
-        raise ValueError(f"variable index exceeds g={g}")
-    return _mask_relation_row(x | xp << g, g)
+    return Polynomial({_monomial(t, g, d): c
+                       for t, c in _mask_relation_row(_mask(m, g), g).items()})
 
 
 def _mask_relation_row(mask: int, g: int) -> lattice.SparseRow:
@@ -247,13 +239,6 @@ def _mask_pairs(g: int, s: int, counts) -> list[tuple[int, int]]:
     return [(s, sum(xs) | sum(xp) << g) for e in counts for xs, xp in _subset_pairs(bits, e)]
 
 
-def monomials_of_weight(g: int, w: int) -> list[Monomial]:
-    """Every monomial of weight w in the variables of index <= g, in
-    `Monomial.sort_key` order: for e = w, w - 1, ..., 0 exterior
-    variables, the monomials of degree 2w - e with q = w - e."""
-    return [m for e in range(w, -1, -1) for m in _monomials(g, 2 * w - e, (e,))]
-
-
 def monomials_of_degree(g: int, s: int) -> list[Monomial]:
     """Every monomial of degree s in the variables of index <= g, in
     `Monomial.sort_key` order: the index-set pairs with |xs| + |xp| = e of
@@ -262,75 +247,40 @@ def monomials_of_degree(g: int, s: int) -> list[Monomial]:
 
 
 class GeneratorSet:
-    """Generators of an ideal, in four views: the (degree, mask) pairs of
-    the monomials that name them, `monomials`, `polys` and the row view
-    `rows(g)`.
+    """Generators of an ideal, as `ideal_generators` builds them: the
+    relations of the monomials named by (degree, `_mask(m, g)`) pairs.
+    `verify`, `relations` and `bridge` read only the pairs and `rows()`,
+    the closed-form rows; `monomials` and `polys` are decoded views, built
+    when read (the surface walkthrough demo and the tests)."""
 
-    The pairs are primary.  `ideal_generators` builds them alone, each
-    generator the relation of its monomial: its rows come from the closed
-    form `_mask_relation_row`, and `monomials` and `polys` are decoded
-    only when something reads them (the surface walkthrough demo and the
-    tests).  `GeneratorSet(mode, monomials)` is the same set for the given
-    monomials.  `GeneratorSet(mode, monomials, polys)` holds the given
-    polynomials, with `monomials` naming them (or left empty), and its
-    rows are their `_row`s.  `ideal_bases`, `ideal_degree_rows`,
-    `verify_minimality`, the `relations` command and the bridge's relation
-    check read only the pairs and the rows, so none of `verify`,
-    `relations` and `bridge` builds a relation `Monomial` or `Polynomial`.
-    """
-
-    def __init__(self, mode: str, monomials: list[Monomial],
-                 polys: list[Polynomial] | None = None):
+    def __init__(self, mode: str, g: int, pairs: list[tuple[int, int]]):
         self.mode = mode
-        self._monomials = monomials
-        self._polys = polys
-        self._closed_form = polys is None
-        self._layout = max((m.max_index for m in monomials), default=0)
-        self._pairs = [(m.degree, _mask(m, self._layout)) for m in monomials]
-        self._rows: dict[int, list[tuple[int | None, lattice.SparseRow]]] = {}
+        self.g = g
+        self.pairs = pairs
+        self._rows: list[tuple[int, lattice.SparseRow]] | None = None
 
-    @classmethod
-    def _of_masks(cls, mode: str, g: int, pairs: list[tuple[int, int]]) -> "GeneratorSet":
-        # the relations of the monomials (degree, `_mask(m, g)`) in pairs
-        gens = cls(mode, [])
-        gens._monomials, gens._layout, gens._pairs = None, g, pairs
-        return gens
-
-    @property
+    @cached_property
     def monomials(self) -> list[Monomial]:
-        if self._monomials is None:
-            self._monomials = [_monomial(mask, self._layout, d) for d, mask in self._pairs]
-        return self._monomials
+        return [_monomial(mask, self.g, d) for d, mask in self.pairs]
 
-    @property
+    @cached_property
     def polys(self) -> list[Polynomial]:
-        if self._polys is None:
-            self._polys = [relation_poly(m) for m in self.monomials]
-        return self._polys
+        return [relation_poly(m) for m in self.monomials]
 
-    def _masks(self, g: int) -> list[tuple[int, int]]:
-        # the pairs laid out for g: (degree, `_mask(m, g)`) per monomial m
-        if g == self._layout:
-            return self._pairs
-        if any(m.max_index > g for m in self.monomials):
-            raise ValueError(f"variable index exceeds g={g}")
-        return [(m.degree, _mask(m, g)) for m in self.monomials]
-
-    def rows(self, g: int) -> list[tuple[int | None, lattice.SparseRow]]:
+    def rows(self) -> list[tuple[int, lattice.SparseRow]]:
         """(degree, row) per generator, the row keyed by `_mask(t, g)` over
-        the terms t; the degree is None for a polynomial that is not
-        homogeneous (or is zero).  Raises ValueError when a variable index
-        exceeds g."""
-        rows = self._rows.get(g)
-        if rows is None:
-            if self._closed_form:
-                rows = [(d, _mask_relation_row(mask, g)) for d, mask in self._masks(g)]
-            else:
-                if any(p.max_index() > g for p in self._polys):
-                    raise ValueError(f"variable index exceeds g={g}")
-                rows = [(p.degree(), _row(p, g)) for p in self._polys]
-            self._rows[g] = rows
-        return rows
+        the terms t."""
+        if self._rows is None:
+            self._rows = [(d, _mask_relation_row(mask, self.g)) for d, mask in self.pairs]
+        return self._rows
+
+
+def _rows_at(gens: GeneratorSet, g: int) -> list[tuple[int, lattice.SparseRow]]:
+    # gens' rows, whose masks are laid out for gens.g and name other
+    # monomials at any other g
+    if gens.g != g:
+        raise ValueError(f"generators are laid out for g={gens.g}, not g={g}")
+    return gens.rows()
 
 
 def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
@@ -343,8 +293,8 @@ def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
     relation y * prod_{k<=n/2} (y - x_k x'_k).  The degree-(n+1) ones are
     the weight-(n+1) monomials with q = 0, and only those are enumerated.
 
-    The monomials are enumerated as (degree, `_mask(m, g)`) pairs, in the
-    order of `monomials_of_weight`, and none is built as a `Monomial`.
+    The monomials are enumerated as (degree, `_mask(m, g)`) pairs, in
+    `Monomial.sort_key` order, and none is built as a `Monomial`.
     """
     if g < 1 or n < 2:
         raise InvalidModeError(f"need g >= 1 and n >= 2, got g={g}, n={n}")
@@ -371,7 +321,7 @@ def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
             pairs.append((n + 2, half | half << g))
     else:
         raise InvalidModeError(f"unknown mode {mode!r}")
-    return GeneratorSet._of_masks(mode, g, pairs)
+    return GeneratorSet(mode, g, pairs)
 
 
 def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
@@ -502,7 +452,7 @@ def ideal_degree_rows(gens: GeneratorSet, g: int, s: int) -> list[list[int]]:
     pos = {_mask(m, g): i for i, m in enumerate(monomials_of_degree(g, s))}
     multipliers: dict[int, list[tuple[int, int]]] = {}
     rows = []
-    for d, gen_row in gens.rows(g):
+    for d, gen_row in _rows_at(gens, g):
         if d is None or d > s:
             continue
         if s - d not in multipliers:
@@ -521,18 +471,13 @@ def ideal_degree_rows(gens: GeneratorSet, g: int, s: int) -> list[list[int]]:
     return rows
 
 
-def _row(poly: Polynomial, g: int) -> lattice.SparseRow:
-    # within one degree a mask names one monomial
-    return {_mask(m, g): c for m, c in poly.terms.items()}
-
-
 def ideal_bases(gens: GeneratorSet, g: int, top: int) -> list[list[lattice.SparseRow]]:
     """Hermite bases B_0..B_top of the ideal's degree pieces, as sparse
     `lattice.hermite_rows` rows keyed by monomial mask (see `_mask`), so
     columns come in mask order.  B_s spans the same lattice as
     `ideal_degree_rows(gens, g, s)`, whose columns are positions in
-    `monomials_of_degree(g, s)` instead.  Both read the generators' row
-    view `gens.rows(g)`, never their polynomials.
+    `monomials_of_degree(g, s)` instead.  Both read the generators' rows
+    `gens.rows()`, never their polynomials.
 
     Every monomial of positive degree is +-v times a monomial, for v one of
     the 2g degree-1 variables, or y times one.  So the degree-s piece is
@@ -543,7 +488,7 @@ def ideal_bases(gens: GeneratorSet, g: int, top: int) -> list[list[lattice.Spars
     lie below it.  y keeps the mask, so y * B_{s-2} is B_{s-2} itself.
     """
     by_degree: dict[int, list[lattice.SparseRow]] = {}
-    for d, row in gens.rows(g):
+    for d, row in _rows_at(gens, g):
         if d is not None and d <= top:
             by_degree.setdefault(d, []).append(row)
     bases: list[list[lattice.SparseRow]] = []
@@ -607,18 +552,16 @@ def _degrees_equal(small: GeneratorSet, full: GeneratorSet, g: int,
     """`ideals_equal_by_degree(small, full, g, top)`, given small's Hermite
     bases B_0..B_top: one-sided when small is a subset of full, two-sided
     otherwise or when a full generator is left nonzero (see
-    `verify_minimality`).  Generators are keyed by the (degree, mask) pairs
-    of their monomials and compared as the (degree, row) pairs of the row
-    view, and within one degree a row names one polynomial."""
+    `verify_minimality`).  Generators are keyed by their (degree, mask)
+    pairs and compared as their (degree, row) pairs, and within one degree
+    a row names one polynomial."""
     top = len(bases) - 1
-    small_rows, full_rows = small.rows(g), full.rows(g)
-    small_keys, full_keys = small._masks(g), full._masks(g)
-    theirs = dict(zip(full_keys, full_rows))
-    mine = dict(zip(small_keys, small_rows))
-    aligned = len(small_keys) == len(small_rows) and len(full_keys) == len(full_rows)
-    if aligned and all(theirs.get(k) == gen for k, gen in zip(small_keys, small_rows)):
+    small_rows, full_rows = _rows_at(small, g), _rows_at(full, g)
+    theirs = dict(zip(full.pairs, full_rows))
+    mine = dict(zip(small.pairs, small_rows))
+    if all(theirs.get(k) == gen for k, gen in zip(small.pairs, small_rows)):
         by_degree: dict[int, list[lattice.SparseRow]] = {}
-        for k, (d, row) in zip(full_keys, full_rows):
+        for k, (d, row) in zip(full.pairs, full_rows):
             if mine.get(k) != (d, row) and d is not None and d <= top:
                 by_degree.setdefault(d, []).append(row)
         if all(lattice.all_in_lattice(rows, bases[d]) for d, rows in by_degree.items()):
@@ -668,7 +611,7 @@ def verify_minimality(g: int, n: int) -> MinimalityReport:
     if mode == "minimal_even":
         q0_basis = _degree_basis(g, n + 2, bases[:n + 2], ())
         # the relation whose monomial has y-exponent (d - popcount) / 2 > 0
-        extra = next((row for (d, mask), (_, row) in zip(minimal._masks(g), minimal.rows(g))
+        extra = next((row for (d, mask), (_, row) in zip(minimal.pairs, minimal.rows())
                       if d > mask.bit_count()), None)
         report.extra_relation_outside = extra is not None and not lattice.all_in_lattice(
             [extra], q0_basis)
@@ -751,12 +694,13 @@ def format_poly(p: Polynomial) -> str:
                                                    key=lambda term: term[0].sort_key)])
 
 
-def _relation_texts(gens: GeneratorSet, g: int) -> list[tuple[str, str]]:
+def _relation_texts(gens: GeneratorSet) -> list[tuple[str, str]]:
     """(word of the monomial, `format_poly` of its relation) per generator
     of a set `ideal_generators` built, written from the masks: a word from
     a mask's bits through a table of the 2g variable tokens, and each
     relation's terms in the order of its closed-form row, which is the
     written order.  No index tuple is decoded and nothing is sorted."""
+    g = gens.g
     tokens = {1 << i: f"x{i + 1}" for i in range(g)}
     tokens.update({1 << g + i: f"x'{i + 1}" for i in range(g)})
 
@@ -769,4 +713,4 @@ def _relation_texts(gens: GeneratorSet, g: int) -> list[tuple[str, str]]:
         return _word(parts, (d - len(parts)) // 2)
 
     return [(word(mask, d), _join([(word(t, d), c) for t, c in row.items()]))
-            for (d, mask), (_, row) in zip(gens._masks(g), gens.rows(g))]
+            for (d, mask), (_, row) in zip(gens.pairs, gens.rows())]

@@ -22,7 +22,6 @@ from symprod.quotient import (
     format_poly,
     ideal_generators,
     monomials_of_degree,
-    monomials_of_weight,
     relation_poly,
 )
 from symprod.rings import add_terms
@@ -110,7 +109,10 @@ def generator_monomials_reference(g, n, mode):
     """The monomials of `ideal_generators(g, n, mode)`, built as validated
     `Monomial`s by the monomial enumerators (for a valid mode)."""
     if mode == "full":
-        return monomials_of_weight(g, n + 1)
+        # a weight-(n+1) monomial has degree n+1..2n+2
+        w = n + 1
+        return sorted((m for s in range(w, 2 * w + 1) for m in monomials_of_degree(g, s)
+                       if m.weight == w), key=lambda m: m.sort_key)
     if mode == "stable":
         everything = tuple(range(1, g + 1))
         return [Monomial(everything, everything, n - 2 * g + 1)]

@@ -17,11 +17,13 @@ from symprod.quotient import (
     InvalidModeError,
     Monomial,
     Polynomial,
+    _mask,
     betti,
     ideal_generators,
     monomials_of_degree,
     relation_poly,
 )
+from symprod.rings import add_terms
 from symprod.sympower import BasisIndex, IndexProduct
 
 from oracles import report_from_dict
@@ -166,8 +168,8 @@ def test_stored_images_equal_chains_from_the_unit(g, n):
     unit = BasisIndex((), (), n)
     for s in range(2 * n + 1):
         for m in monomials_of_degree(g, s):
-            got = fmap.monomial_coordinates(m)
-            want = fmap.times({unit: 1}, fmap.generator_indices(m))
+            got = fmap.row_coordinates({_mask(m, g): 1}, s)
+            want = fmap.times({unit: 1}, fmap.generator_indices(_mask(m, g), m.q))
             assert (got, list(got)) == (want, list(want)), m
 
 
@@ -200,18 +202,29 @@ def _valid_modes():
     yield 4, 3, "full"
 
 
+def chained_coordinates(fmap, p):
+    """Basis coordinates of image(p), each term's chain of spread classes
+    multiplied out from the unit, with no stored image read."""
+    unit = BasisIndex((), (), fmap.n)
+    out = {}
+    for m, c in p.terms.items():
+        chain = fmap.times({unit: 1}, fmap.generator_indices(_mask(m, fmap.g), m.q))
+        add_terms(out, chain.items(), c)
+    return out
+
+
 @pytest.mark.parametrize("g,n,mode", _valid_modes())
 def test_relation_rows_map_like_decoded_relations(g, n, mode):
     # a relation's image vanishes, so each term is compared on its own too
     gens = ideal_generators(g, n, mode)
     fmap = SurfacePowerMap(g, n)
     nonzero = 0
-    for m, (d, row) in zip(gens.monomials, gens.rows(g)):
+    for m, (d, row) in zip(gens.monomials, gens.rows()):
         poly = relation_poly(m)
-        assert fmap.row_coordinates(row, d) == fmap.polynomial_coordinates(poly) == {}
+        assert fmap.row_coordinates(row, d) == chained_coordinates(fmap, poly) == {}
         for (t, c), (term, coeff) in zip(row.items(), poly.terms.items(), strict=True):
             got = fmap.row_coordinates({t: c}, d)
-            assert got == fmap.polynomial_coordinates(Polynomial.monomial(term, coeff))
+            assert got == chained_coordinates(fmap, Polynomial.monomial(term, coeff))
             nonzero += bool(got)
     assert nonzero
 
@@ -231,8 +244,8 @@ def test_relation_row_missing_a_term_does_not_vanish(monkeypatch):
     # quotient-basis monomial whose image is nonzero
     rows = GeneratorSet.rows
 
-    def drop_one_term(self, g):
-        out = list(rows(self, g))
+    def drop_one_term(self):
+        out = list(rows(self))
         k = next(k for k, (_, row) in enumerate(out) if len(row) > 1)
         d, row = out[k]
         out[k] = (d, dict(list(row.items())[1:]))
@@ -261,3 +274,13 @@ def test_spot_check_draws_what_a_pool_of_monomials_gives(monkeypatch, g, n):
         drawn.clear()
         assert multiplicativity_spot_check(g, n, seed=seed)
         assert list(zip(drawn[::2], drawn[1::2])) == spot_check_draws_reference(g, n, 8, seed)
+
+
+def test_coordinates_reject_an_index_past_g():
+    # masks lay x'_1 out at bit g, so x_{g+1} or a bit >= 2g would name
+    # another generator's image
+    fmap = SurfacePowerMap(2, 3)
+    with pytest.raises(ValueError, match="exceeds g=2"):
+        fmap.coordinates(Monomial((3,), (), 0), 1)
+    with pytest.raises(ValueError, match="past x'2"):
+        fmap.row_coordinates({1 << 4: 1}, 1)

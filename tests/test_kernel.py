@@ -18,7 +18,7 @@ from oracles import IndexProductReference
 
 from symprod import fixtures
 from symprod.bridge import SurfacePowerMap
-from symprod.quotient import Monomial, Polynomial, monomials_of_degree, quotient_basis
+from symprod.quotient import Monomial, Polynomial, _mask, monomials_of_degree, quotient_basis
 from symprod.rings import Generator, Ring
 from symprod.sympower import (
     IndexProduct,
@@ -106,7 +106,7 @@ def test_bridge_coordinates_equal_expanded_images(g, n):
         for m in quotient_basis(g, n, s):
             p = Polynomial.monomial(m)
             want = {k: int(c) for k, c in expand(fmap.image(p)).items()}
-            assert fmap.polynomial_coordinates(p) == want, (m, s)
+            assert fmap.row_coordinates({_mask(m, g): 1}, s) == want, (m, s)
             if s:
                 basis = enumerate_basis(fmap.ring, n, degree=s)
                 assert fmap.coordinates(m, s) == [want.get(k, 0) for k in basis]
@@ -119,8 +119,8 @@ def test_surface_chains_equal_reference_chains(g, n):
     reference_map._kernel = IndexProductReference(reference_map.ring)
     for s in range(2 * n + 1):
         for m in monomials_of_degree(g, s):
-            got = fmap.monomial_coordinates(m)
-            want = reference_map.monomial_coordinates(m)
+            got = fmap.row_coordinates({_mask(m, g): 1}, s)
+            want = reference_map.row_coordinates({_mask(m, g): 1}, s)
             assert (got, list(got)) == (want, list(want)), m
 
 
@@ -146,7 +146,8 @@ def test_chained_products_equal_tensor_products():
     for m1, m2 in itertools.islice(itertools.product(pool, pool), 0, None, 37):
         direct = tensor_multiply(fmap.image_of_monomial(m1), fmap.image_of_monomial(m2))
         want = {k: int(c) for k, c in expand(direct).items()}
-        got = fmap.times(fmap.monomial_coordinates(m1), fmap.generator_indices(m2))
+        got = fmap.times(fmap.row_coordinates({_mask(m1, g): 1}, m1.degree),
+                         fmap.generator_indices(_mask(m2, g), m2.q))
         assert got == want, (m1, m2)
 
 
@@ -154,7 +155,7 @@ def test_spread_classes_are_basis_elements():
     fmap = SurfacePowerMap(2, 3)
 
     def spread(m):
-        [idx] = fmap.generator_indices(m)
+        [idx] = fmap.generator_indices(_mask(m, 2), m.q)
         return realize(fmap.ring, idx)
 
     assert spread(Monomial((2,), (), 0)) == fmap.xi[2]

@@ -138,20 +138,18 @@ def test_mask_relation_row_is_the_closed_form_in_written_order():
 
 def test_generator_sets_keep_the_enumerated_monomials_g_le_5():
     # every valid mode at g <= 5, n <= 6: the monomials the enumerator built
-    # as `Monomial`s, and the subset-order closed form's rows at a wider
-    # layout; a narrower one leaves out an index the set uses
+    # as `Monomial`s, their (degree, mask) pairs and the subset-order closed
+    # form's rows
     for g in range(1, 6):
         for n in range(2, 7):
             for mode in valid_modes(g, n):
                 gens = ideal_generators(g, n, mode)
                 expected = generator_monomials_reference(g, n, mode)
                 assert gens.monomials == expected, (g, n, mode)
-                wide = g + 2
-                assert gens.rows(wide) == [
-                    (m.degree, mask_relation_row_reference(quotient._mask(m, wide), wide))
-                    for m in expected], (g, n, mode)
-                with pytest.raises(ValueError, match=f"variable index exceeds g={g - 1}"):
-                    gens.rows(g - 1)
+                masks = [(m.degree, quotient._mask(m, g)) for m in expected]
+                assert gens.pairs == masks, (g, n, mode)
+                assert gens.rows() == [(d, mask_relation_row_reference(mask, g))
+                                       for d, mask in masks], (g, n, mode)
 
 
 def test_relations_and_the_bridge_build_no_relation_monomial(capsys, monkeypatch):

@@ -25,7 +25,6 @@ from symprod.quotient import (
     ideals_equal_by_degree,
     monomial_mul,
     monomials_of_degree,
-    monomials_of_weight,
     multiply_nf,
     normal_form,
     parse_poly,
@@ -33,7 +32,7 @@ from symprod.quotient import (
     relation_poly,
     verify_minimality,
 )
-from symprod.quotient import _mask, _parse_word, _relation_row, _row
+from symprod.quotient import _mask, _mask_relation_row, _parse_word
 
 from relation_lattices import ideal_fills_degree, relation_lattice_smith
 
@@ -161,8 +160,9 @@ def relation_poly_reference(m):
 
 
 def monomials_of_weight_reference(g, w):
-    """Reference `monomials_of_weight`: every pair of index subsets, kept
-    when its weight is at most w, with q making up the rest."""
+    """Every monomial of weight w, in `Monomial.sort_key` order: every pair
+    of index subsets, kept when its weight is at most w, with q making up
+    the rest."""
     out = []
     indices = range(1, g + 1)
     for xs_size in range(g + 1):
@@ -211,15 +211,13 @@ def test_closed_forms_match_references_g_le_5():
     cases = 0
     for g in range(6):
         for w in range(2 * g + 3):
-            monomials = monomials_of_weight(g, w)
-            assert monomials == monomials_of_weight_reference(g, w), (g, w)
-            for m in monomials:
+            for m in monomials_of_weight_reference(g, w):
                 reference = written(relation_poly_reference(m))
                 got = list(relation_poly(m).terms.items())
                 assert got == reference, m
                 # the row verify reads, also in a wider mask layout
                 for layout in (g, g + 1):
-                    row = list(_relation_row(m, layout).items())
+                    row = list(_mask_relation_row(_mask(m, layout), layout).items())
                     assert row == [(_mask(t, layout), c) for t, c in reference], (m, layout)
                 cases += 1
     assert cases == 10467
@@ -250,7 +248,7 @@ def test_minimal_odd_g3_n3():
 def test_full_mode_counts_weight():
     gens = ideal_generators(2, 2, "full")
     assert all(m.weight == 3 for m in gens.monomials)
-    assert gens.monomials == monomials_of_weight(2, 3)
+    assert gens.monomials == monomials_of_weight_reference(2, 3)
 
 
 def test_minimal_set_of_wrong_size_is_a_typed_error(monkeypatch):
@@ -365,7 +363,7 @@ def test_normal_form_kills_heavy_relations():
     # relations of every weight >= n+1, not only the generating weight
     g, n = 2, 2
     for w in range(n + 1, n + 4):
-        for m in monomials_of_weight(g, w):
+        for m in monomials_of_weight_reference(g, w):
             assert normal_form(relation_poly(m), g, n).is_zero(), m
 
 
@@ -555,6 +553,21 @@ def ideal_degree_rows_reference(gens, g, s):
     return [row for rows in reference_rows_by_generator(gens.polys, g, s) for row in rows]
 
 
+class PolynomialGenerators(GeneratorSet):
+    """Generators that need not be relations: the polynomials `polys`, each
+    row keyed by `_mask(t, g)` and with degree None when the polynomial is
+    not homogeneous, named by the (degree, mask) pairs `pairs` (or left
+    unnamed)."""
+
+    def __init__(self, g, polys, pairs=()):
+        super().__init__("given", g, list(pairs))
+        self.polys = polys
+
+    def rows(self):
+        return [(p.degree(), {_mask(m, self.g): c for m, c in p.terms.items()})
+                for p in self.polys]
+
+
 def valid_modes(g, n):
     modes = ["full"]
     if n >= 2 * g - 1:
@@ -598,14 +611,15 @@ def test_ideal_degree_rows_match_reference_random_polys():
             polys.append(Polynomial({rng.choice(pool): rng.choice((-3, -1, 1, 2))
                                      for _ in range(rng.randrange(1, 5))}))
         polys.append(parse_poly("x1 + 2*x'2.y", g=g))
-        gens = GeneratorSet("random", [], polys)
+        gens = PolynomialGenerators(g, polys)
         for s in range(8):
             assert ideal_degree_rows(gens, g, s) == ideal_degree_rows_reference(gens, g, s)
 
 
 def test_ideal_degree_rows_rejects_foreign_index():
-    gens = GeneratorSet("foreign", [], [parse_poly("x3.x'1")])
-    with pytest.raises(ValueError):
+    # relations naming x3, whose masks are laid out for g = 3
+    gens = ideal_generators(3, 2, "full")
+    with pytest.raises(ValueError, match="laid out for g=3, not g=2"):
         ideal_degree_rows(gens, 2, 3)
 
 
@@ -668,21 +682,20 @@ def test_ideal_bases_match_reference_random_polys():
             polys.append(Polynomial({rng.choice(pool): rng.choice((-3, -1, 1, 2))
                                      for _ in range(rng.randrange(1, 5))}))
         polys.append(parse_poly("x1 + 2*x'2.y", g=g))
-        gens = GeneratorSet("random", [], polys)
+        gens = PolynomialGenerators(g, polys)
         for s, basis in enumerate(ideal_bases(gens, g, 7)):
             assert keys_are_degree_masks(basis, g, s), s
             assert basis == reference_basis(gens, g, s), s
 
 
 def test_ideal_bases_reject_foreign_index():
-    gens = GeneratorSet("foreign", [], [parse_poly("x3.x'1")])
-    with pytest.raises(ValueError):
+    gens = ideal_generators(3, 2, "full")
+    with pytest.raises(ValueError, match="laid out for g=3, not g=2"):
         ideal_bases(gens, 2, 3)
 
 
 def without(gens, i):
-    return GeneratorSet("cut", gens.monomials[:i] + gens.monomials[i + 1:],
-                        gens.polys[:i] + gens.polys[i + 1:])
+    return GeneratorSet("cut", gens.g, gens.pairs[:i] + gens.pairs[i + 1:])
 
 
 def test_ideals_equal_by_degree_failing_flags_match_reference():
@@ -757,9 +770,8 @@ def verify_minimality_reference(g, n):
             degrees_equal=ideals_equal_by_degree(stable, full, g, 2 * n))
     mode = "minimal_odd" if n % 2 else "minimal_even"
     minimal = quotient.ideal_generators(g, n, mode)
-    q0 = GeneratorSet("q0", [m for m in minimal.monomials if m.q == 0],
-                      [p for m, p in zip(minimal.monomials, minimal.polys)
-                       if m.q == 0])
+    q0 = GeneratorSet("q0", g, [p for p, m in zip(minimal.pairs, minimal.monomials)
+                                if m.q == 0])
     q0_bases = ideal_bases(q0, g, n + 2 if mode == "minimal_even" else n + 1)
     report = MinimalityReport(
         g, n, mode,
@@ -767,7 +779,7 @@ def verify_minimality_reference(g, n):
         expected_rank=comb(2 * g, n + 1),
         degrees_equal=ideals_equal_by_degree(minimal, full, g, 2 * n))
     if mode == "minimal_even":
-        extra = _row(minimal.polys[-1], g)
+        extra = {_mask(m, g): c for m, c in minimal.polys[-1].terms.items()}
         report.extra_relation_outside = not lattice.all_in_lattice([extra], q0_bases[n + 2])
     return report
 
@@ -867,8 +879,8 @@ def test_verify_minimality_compares_relations_not_just_monomials(monkeypatch):
     # the stable monomial with the constant 1 as its relation: the whole
     # ring, so it holds every full generator, yet no degree of the full
     # ideal up to 2n is everything
-    m = ideal_generators(2, 4, "stable").monomials[0]
-    unit = GeneratorSet("stable", [m], [Polynomial.monomial(ONE)])
+    stable = ideal_generators(2, 4, "stable")
+    unit = PolynomialGenerators(2, [Polynomial.monomial(ONE)], stable.pairs)
     full_24 = ideal_generators(2, 4, "full")
     patch_generators(monkeypatch, "stable", lambda gens: unit)
     calls = two_sided_calls(monkeypatch)
@@ -940,10 +952,8 @@ def test_higher_q_generators_reduce_to_lower_q():
                 a, b, c, _ = m.abcq
                 if a == 0 and b == 0 and q == 1 and n % 2 == 0 and 2 <= n <= 2 * g - 2:
                     continue  # the extra even-case generator is not reducible
-                lower = GeneratorSet(
-                    "lower",
-                    [mm for qq in by_q if qq < q for mm, _ in by_q[qq]],
-                    [pp for qq in by_q if qq < q for _, pp in by_q[qq]])
+                lower = GeneratorSet("lower", g, [
+                    pair for pair, mm in zip(full.pairs, full.monomials) if mm.q < q])
                 deg = p.degree()
                 rows = ideal_degree_rows(lower, g, deg)
                 vec = poly_vector(p, monomials_of_degree(g, deg))
