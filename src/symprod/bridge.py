@@ -27,7 +27,7 @@ from .quotient import (
     multiply_nf,
     quotient_basis,
 )
-from .rings import Ring, add_terms
+from .rings import add_terms
 from .sympower import BasisIndex, IndexProduct, enumerate_basis
 from .tensors import TensorElement, sym_element, tensor_multiply
 
@@ -82,10 +82,10 @@ class SurfacePowerMap:
     objects, and ``positions`` groups them by degree.
     """
 
-    def __init__(self, g: int, n: int, ring: Ring | None = None):
+    def __init__(self, g: int, n: int):
         self.g = g
         self.n = n
-        self.ring = ring or surface_ring(g)
+        self.ring = surface_ring(g)
         pos = self.ring.position
         # the spread class of the generator at mask bit k: x_i at bit i - 1
         # is chi[a_i], x'_i at bit g + i - 1 is chi[a_{i+g}]

@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 from . import bridge as bridge_mod
 from . import quotient
 from .fixtures import resolve_spec_path
-from .rings import RingSpecError, load_ring
+from .rings import load_ring
 from .sympower import (
     InternalInconsistencyError,
     TheoremViolationError,
@@ -390,8 +390,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (RingSpecError, quotient.PolyParseError, FileNotFoundError,
-            quotient.NonHomogeneousError, quotient.InvalidModeError) as e:
+    except (ValueError, FileNotFoundError) as e:
+        # every input error: RingSpecError, PolyParseError, InvalidModeError
+        # and NonHomogeneousError are ValueErrors too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except TheoremViolationError as e:
@@ -400,9 +401,6 @@ def main(argv=None) -> int:
     except (InternalInconsistencyError, quotient.QuotientInvariantError) as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)
         return EXIT_THEOREM
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -117,8 +117,9 @@ def packaged_fixture_dir() -> str:
 
 def resolve_spec_path(spec: str) -> str:
     """Locate a ring-spec file: literal path first, then $SYMPROD_FIXTURES,
-    then the fixtures shipped with the package."""
-    if os.path.exists(spec):
+    then the fixtures shipped with the package.  Only files count: a
+    directory of the same name is passed over."""
+    if os.path.isfile(spec):
         return spec
     candidates = []
     env_dir = os.environ.get(FIXTURES_ENV)
@@ -126,9 +127,9 @@ def resolve_spec_path(spec: str) -> str:
         candidates.append(os.path.join(env_dir, spec))
     candidates.append(os.path.join(packaged_fixture_dir(), spec))
     for path in candidates:
-        if os.path.exists(path):
+        if os.path.isfile(path):
             return path
-    raise FileNotFoundError(f"ring spec {spec!r} not found (searched {candidates})")
+    raise FileNotFoundError(f"no ring-spec file {spec!r} found (searched {candidates})")
 
 
 def load_fixture(name: str) -> Ring:

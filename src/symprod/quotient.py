@@ -275,14 +275,6 @@ class GeneratorSet:
         return self._rows
 
 
-def _rows_at(gens: GeneratorSet, g: int) -> list[tuple[int, lattice.SparseRow]]:
-    # gens' rows, whose masks are laid out for gens.g and name other
-    # monomials at any other g
-    if gens.g != g:
-        raise ValueError(f"generators are laid out for g={gens.g}, not g={g}")
-    return gens.rows()
-
-
 def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
     """Generating sets of the relation ideal.
 
@@ -439,26 +431,29 @@ def _below(mask: int) -> int:
     return out
 
 
-def ideal_degree_rows(gens: GeneratorSet, g: int, s: int) -> list[list[int]]:
+def ideal_degree_rows(gens: GeneratorSet, s: int) -> list[list[int]]:
     """Spanning rows of the degree-s piece of the ideal: every product of a
     generator by a monomial of the complementary degree, in generator order
-    then multiplier order, columns in `monomials_of_degree(g, s)` order.
+    then multiplier order, columns in `monomials_of_degree(gens.g, s)` order.
 
-    Monomials are integer masks (see `_mask`): a product is zero when the
-    masks overlap, and its sign is one popcount against `_below` of the
-    multiplier.  A generator's distinct terms stay distinct after the
-    multiplication, so each one is written straight into its column.
+    Monomials are integer masks (see `_mask`), enumerated by `_mask_pairs`
+    with none built: a product is zero when the masks overlap, and its sign
+    is one popcount against `_below` of the multiplier.  A generator's
+    distinct terms stay distinct after the multiplication, so each one is
+    written straight into its column.
     """
-    pos = {_mask(m, g): i for i, m in enumerate(monomials_of_degree(g, s))}
+    g = gens.g
+    pos = {mask: i for i, (_, mask) in enumerate(_mask_pairs(g, s, range(s % 2, s + 1, 2)))}
     multipliers: dict[int, list[tuple[int, int]]] = {}
     rows = []
-    for d, gen_row in _rows_at(gens, g):
-        if d is None or d > s:
+    for d, gen_row in gens.rows():
+        if d > s:
             continue
-        if s - d not in multipliers:
-            masks = [_mask(m, g) for m in monomials_of_degree(g, s - d)]
-            multipliers[s - d] = [(mask, _below(mask)) for mask in masks]
-        for mask, below in multipliers[s - d]:
+        e = s - d
+        if e not in multipliers:
+            multipliers[e] = [(mask, _below(mask))
+                              for _, mask in _mask_pairs(g, e, range(e % 2, e + 1, 2))]
+        for mask, below in multipliers[e]:
             row = None
             for t, c in gen_row.items():
                 if mask & t:
@@ -471,12 +466,12 @@ def ideal_degree_rows(gens: GeneratorSet, g: int, s: int) -> list[list[int]]:
     return rows
 
 
-def ideal_bases(gens: GeneratorSet, g: int, top: int) -> list[list[lattice.SparseRow]]:
+def ideal_bases(gens: GeneratorSet, top: int) -> list[list[lattice.SparseRow]]:
     """Hermite bases B_0..B_top of the ideal's degree pieces, as sparse
     `lattice.hermite_rows` rows keyed by monomial mask (see `_mask`), so
     columns come in mask order.  B_s spans the same lattice as
-    `ideal_degree_rows(gens, g, s)`, whose columns are positions in
-    `monomials_of_degree(g, s)` instead.  Both read the generators' rows
+    `ideal_degree_rows(gens, s)`, whose columns are positions in
+    `monomials_of_degree(gens.g, s)` instead.  Both read the generators' rows
     `gens.rows()`, never their polynomials.
 
     Every monomial of positive degree is +-v times a monomial, for v one of
@@ -488,12 +483,12 @@ def ideal_bases(gens: GeneratorSet, g: int, top: int) -> list[list[lattice.Spars
     lie below it.  y keeps the mask, so y * B_{s-2} is B_{s-2} itself.
     """
     by_degree: dict[int, list[lattice.SparseRow]] = {}
-    for d, row in _rows_at(gens, g):
-        if d is not None and d <= top:
+    for d, row in gens.rows():
+        if d <= top:
             by_degree.setdefault(d, []).append(row)
     bases: list[list[lattice.SparseRow]] = []
     for s in range(top + 1):
-        bases.append(_degree_basis(g, s, bases, by_degree.get(s, ())))
+        bases.append(_degree_basis(gens.g, s, bases, by_degree.get(s, ())))
     return bases
 
 
@@ -518,10 +513,13 @@ def _degree_basis(g: int, s: int, bases: list[list[lattice.SparseRow]],
     return lattice.hermite_rows(rows)
 
 
-def ideals_equal_by_degree(a: GeneratorSet, b: GeneratorSet, g: int,
+def ideals_equal_by_degree(a: GeneratorSet, b: GeneratorSet,
                            max_degree: int) -> list[tuple[int, bool]]:
-    # Hermite bases are canonical: equal bases, equal lattices
-    pairs = zip(ideal_bases(a, g, max_degree), ideal_bases(b, g, max_degree))
+    # Hermite bases are canonical: equal bases, equal lattices; masks laid
+    # out for two different g name different monomials
+    if a.g != b.g:
+        raise ValueError(f"generators laid out for g={a.g} and g={b.g}")
+    pairs = zip(ideal_bases(a, max_degree), ideal_bases(b, max_degree))
     return [(s, basis_a == basis_b) for s, (basis_a, basis_b) in enumerate(pairs)]
 
 
@@ -547,26 +545,26 @@ class MinimalityReport:
         return bool(checks) and all(checks)
 
 
-def _degrees_equal(small: GeneratorSet, full: GeneratorSet, g: int,
+def _degrees_equal(small: GeneratorSet, full: GeneratorSet,
                    bases: list[list[lattice.SparseRow]]) -> list[tuple[int, bool]]:
-    """`ideals_equal_by_degree(small, full, g, top)`, given small's Hermite
+    """`ideals_equal_by_degree(small, full, top)`, given small's Hermite
     bases B_0..B_top: one-sided when small is a subset of full, two-sided
     otherwise or when a full generator is left nonzero (see
     `verify_minimality`).  Generators are keyed by their (degree, mask)
     pairs and compared as their (degree, row) pairs, and within one degree
     a row names one polynomial."""
     top = len(bases) - 1
-    small_rows, full_rows = _rows_at(small, g), _rows_at(full, g)
+    small_rows, full_rows = small.rows(), full.rows()
     theirs = dict(zip(full.pairs, full_rows))
     mine = dict(zip(small.pairs, small_rows))
     if all(theirs.get(k) == gen for k, gen in zip(small.pairs, small_rows)):
         by_degree: dict[int, list[lattice.SparseRow]] = {}
         for k, (d, row) in zip(full.pairs, full_rows):
-            if mine.get(k) != (d, row) and d is not None and d <= top:
+            if mine.get(k) != (d, row) and d <= top:
                 by_degree.setdefault(d, []).append(row)
         if all(lattice.all_in_lattice(rows, bases[d]) for d, rows in by_degree.items()):
             return [(s, True) for s in range(top + 1)]
-    return ideals_equal_by_degree(small, full, g, top)
+    return ideals_equal_by_degree(small, full, top)
 
 
 def verify_minimality(g: int, n: int) -> MinimalityReport:
@@ -592,26 +590,20 @@ def verify_minimality(g: int, n: int) -> MinimalityReport:
     propagation step from B_{n+1} and B_n with no generator added.  The
     extra relation is the one generator with a y; a set without it fails.
     """
-    if g < 1 or n < 2:
-        raise ValueError(f"need g >= 1 and n >= 2, got g={g}, n={n}")
-    full = ideal_generators(g, n, "full")
-    if n >= 2 * g - 1:
-        stable = ideal_generators(g, n, "stable")
-        bases = ideal_bases(stable, g, 2 * n)
-        return MinimalityReport(g, n, "stable",
-                                degrees_equal=_degrees_equal(stable, full, g, bases))
-    mode = "minimal_odd" if n % 2 else "minimal_even"
-    minimal = ideal_generators(g, n, mode)
-    bases = ideal_bases(minimal, g, 2 * n)
+    full = ideal_generators(g, n, "full")  # rejects g < 1 and n < 2
+    stable = n >= 2 * g - 1
+    mode = "stable" if stable else "minimal_odd" if n % 2 else "minimal_even"
+    small = ideal_generators(g, n, mode)
+    bases = ideal_bases(small, 2 * n)
     report = MinimalityReport(
         g, n, mode,
-        rank_q0=len(bases[n + 1]),
-        expected_rank=comb(2 * g, n + 1),
-        degrees_equal=_degrees_equal(minimal, full, g, bases))
+        rank_q0=None if stable else len(bases[n + 1]),
+        expected_rank=None if stable else comb(2 * g, n + 1),
+        degrees_equal=_degrees_equal(small, full, bases))
     if mode == "minimal_even":
         q0_basis = _degree_basis(g, n + 2, bases[:n + 2], ())
         # the relation whose monomial has y-exponent (d - popcount) / 2 > 0
-        extra = next((row for (d, mask), (_, row) in zip(minimal.pairs, minimal.rows())
+        extra = next((row for (d, mask), (_, row) in zip(small.pairs, small.rows())
                       if d > mask.bit_count()), None)
         report.extra_relation_outside = extra is not None and not lattice.all_in_lattice(
             [extra], q0_basis)

@@ -361,9 +361,11 @@ def ring_to_dict(ring: Ring) -> dict:
 
 
 def load_ring(path) -> Ring:
-    with open(path, encoding="utf-8") as f:
-        try:
+    try:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise RingSpecError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
+    except OSError as e:  # a directory, or no permission to read
+        raise RingSpecError(f"{path}: {e.strerror or e}") from None
+    except json.JSONDecodeError as e:
+        raise RingSpecError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
     return ring_from_dict(doc)

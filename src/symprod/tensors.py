@@ -263,7 +263,7 @@ def signed_arrangements(ring: Ring, sorted_slots: tuple[int, ...]):
         arr[i + 1:] = reversed(arr[i + 1:])
 
 
-def stabilizer_order(ring: Ring, sorted_slots: tuple[int, ...]) -> int:
+def stabilizer_order(sorted_slots: tuple[int, ...]) -> int:
     """Order of the subgroup permuting equal slots among themselves."""
     order = 1
     run = 1
@@ -293,7 +293,7 @@ def symmetrize(t: TensorElement) -> TensorElement:
         base, base_sign = sorted_slots_with_sign(ring, slots)
         if has_repeated_odd(ring, base):
             continue
-        weight = coeff * base_sign * Fraction(stabilizer_order(ring, base), n_fact)
+        weight = coeff * base_sign * Fraction(stabilizer_order(base), n_fact)
         add_terms(out, signed_arrangements(ring, base), weight)
     return TensorElement(ring, n, out)
 

@@ -8,7 +8,7 @@ from symprod.quotient import ideal_degree_rows, ideal_generators, monomials_of_d
 
 def relation_lattice_smith(g: int, n: int, s: int) -> list[int]:
     """Smith invariants of the degree-s piece of the full relation ideal."""
-    rows = ideal_degree_rows(ideal_generators(g, n, "full"), g, s)
+    rows = ideal_degree_rows(ideal_generators(g, n, "full"), s)
     if not rows:
         return []
     return lattice.smith(rows)
@@ -19,5 +19,5 @@ def ideal_fills_degree(g: int, n: int, s: int) -> bool:
     # the lattice is all of Z^dim exactly when its Hermite basis is the
     # unit matrix: full rank, and every pivot 1
     dim = len(monomials_of_degree(g, s))
-    basis = lattice.hermite_nonzero(ideal_degree_rows(ideal_generators(g, n, "full"), g, s))
+    basis = lattice.hermite_nonzero(ideal_degree_rows(ideal_generators(g, n, "full"), s))
     return len(basis) == dim and all(row[i] == 1 for i, row in enumerate(basis))

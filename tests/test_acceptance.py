@@ -85,8 +85,8 @@ def test_criterion_4_stable_case():
             full = ideal_generators(g, n, "full")
             assert len(stable.polys) == 1
             for s in range(2 * n + 1):
-                rows_s = ideal_degree_rows(stable, g, s)
-                rows_f = ideal_degree_rows(full, g, s)
+                rows_s = ideal_degree_rows(stable, s)
+                rows_f = ideal_degree_rows(full, s)
                 assert lattice.lattice_equal(rows_s, rows_f), (g, n, s)
 
 

@@ -98,6 +98,18 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+def test_directory_spec_exits_2(tmp_path, capsys):
+    # a directory is no ring spec: a diagnostic, not an IsADirectoryError
+    for argv in (["validate", str(tmp_path)],
+                 ["sym-basis", str(tmp_path), "--n", "2"],
+                 ["sym-table", str(tmp_path), "--n", "2", "--max-degree", "4"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+    with pytest.raises(RingSpecError, match="Is a directory"):
+        load_ring(tmp_path)
+
+
 def test_bad_poly_exit_code(capsys):
     code, _, err = run(capsys, "nf", "--g", "1", "--n", "2", "x1.x1")
     assert code == 2

@@ -254,7 +254,7 @@ def test_hermite_matches_transform_reference_on_ideal_matrices():
     for g, n, mode in cases:
         gens = ideal_generators(g, n, mode)
         for s in range(2 * n + 3):
-            m = ideal_degree_rows(gens, g, s)
+            m = ideal_degree_rows(gens, s)
             assert hermite_nonzero(m) == nonzero_rows(hermite_with_transform(m)[0]), \
                 (g, n, mode, s)
 

@@ -554,10 +554,9 @@ def ideal_degree_rows_reference(gens, g, s):
 
 
 class PolynomialGenerators(GeneratorSet):
-    """Generators that need not be relations: the polynomials `polys`, each
-    row keyed by `_mask(t, g)` and with degree None when the polynomial is
-    not homogeneous, named by the (degree, mask) pairs `pairs` (or left
-    unnamed)."""
+    """Generators that need not be relations: the homogeneous polynomials
+    `polys`, each row keyed by `_mask(t, g)`, named by the (degree, mask)
+    pairs `pairs` (or left unnamed)."""
 
     def __init__(self, g, polys, pairs=()):
         super().__init__("given", g, list(pairs))
@@ -593,14 +592,14 @@ def test_ideal_degree_rows_match_reference():
                 assert all(full_polys[m] == p for m, p in zip(gens.monomials, gens.polys))
                 for s, rows_of in enumerate(by_degree):
                     expected = [row for m in gens.monomials for row in rows_of[m]]
-                    assert ideal_degree_rows(gens, g, s) == expected, (g, n, mode, s)
+                    assert ideal_degree_rows(gens, s) == expected, (g, n, mode, s)
                     cases += 1
     assert cases == 320
 
 
 def test_ideal_degree_rows_match_reference_random_polys():
     # generators beyond the relation polynomials: mixed signs, unpaired
-    # variables in any order, y powers, and a non-homogeneous one (skipped)
+    # variables in any order, y powers
     rng = random.Random(77)
     g = 3
     for _ in range(20):
@@ -610,17 +609,26 @@ def test_ideal_degree_rows_match_reference_random_polys():
             pool = monomials_of_degree(g, d)
             polys.append(Polynomial({rng.choice(pool): rng.choice((-3, -1, 1, 2))
                                      for _ in range(rng.randrange(1, 5))}))
-        polys.append(parse_poly("x1 + 2*x'2.y", g=g))
         gens = PolynomialGenerators(g, polys)
         for s in range(8):
-            assert ideal_degree_rows(gens, g, s) == ideal_degree_rows_reference(gens, g, s)
+            assert ideal_degree_rows(gens, s) == ideal_degree_rows_reference(gens, g, s)
 
 
-def test_ideal_degree_rows_rejects_foreign_index():
-    # relations naming x3, whose masks are laid out for g = 3
-    gens = ideal_generators(3, 2, "full")
-    with pytest.raises(ValueError, match="laid out for g=3, not g=2"):
-        ideal_degree_rows(gens, 2, 3)
+def test_ideal_degree_rows_builds_no_monomial(monkeypatch):
+    # columns and multipliers are enumerated as masks, and the generators
+    # are read as their closed-form rows
+    built = []
+    post_init = Monomial.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    gens = ideal_generators(4, 4, "minimal_even")
+    monkeypatch.setattr(Monomial, "__post_init__", counting)
+    for s in range(9):
+        ideal_degree_rows(gens, s)
+    assert built == []
 
 
 def test_ideal_degree_rows_work_counts_g4_n4():
@@ -633,7 +641,7 @@ def test_ideal_degree_rows_work_counts_g4_n4():
     for mode, counts in expected.items():
         gens = ideal_generators(4, 4, mode)
         for s, (n_rows, rank) in enumerate(counts):
-            rows = ideal_degree_rows(gens, 4, s)
+            rows = ideal_degree_rows(gens, s)
             assert (len(rows), lattice.rank(rows)) == (n_rows, rank), (mode, s)
 
 
@@ -642,7 +650,7 @@ def reference_basis(gens, g, s):
     their columns re-keyed from positions in `monomials_of_degree(g, s)`
     to monomial masks, the keys of `ideal_bases`."""
     masks = [_mask(m, g) for m in monomials_of_degree(g, s)]
-    rows = ideal_degree_rows(gens, g, s)
+    rows = ideal_degree_rows(gens, s)
     return lattice.hermite_rows({masks[j]: v for j, v in enumerate(row) if v} for row in rows)
 
 
@@ -660,7 +668,7 @@ def test_ideal_bases_match_reference():
         for n in range(2, 6):
             for mode in valid_modes(g, n):
                 gens = ideal_generators(g, n, mode)
-                bases = ideal_bases(gens, g, 2 * n + 2)
+                bases = ideal_bases(gens, 2 * n + 2)
                 assert len(bases) == 2 * n + 3
                 for s, basis in enumerate(bases):
                     assert keys_are_degree_masks(basis, g, s), (g, n, mode, s)
@@ -671,7 +679,7 @@ def test_ideal_bases_match_reference():
 
 def test_ideal_bases_match_reference_random_polys():
     # the generator sets of the spanning-row test: mixed signs, unpaired
-    # variables in any order, y powers, and a non-homogeneous one (skipped)
+    # variables in any order, y powers
     rng = random.Random(77)
     g = 3
     for _ in range(20):
@@ -681,17 +689,17 @@ def test_ideal_bases_match_reference_random_polys():
             pool = monomials_of_degree(g, d)
             polys.append(Polynomial({rng.choice(pool): rng.choice((-3, -1, 1, 2))
                                      for _ in range(rng.randrange(1, 5))}))
-        polys.append(parse_poly("x1 + 2*x'2.y", g=g))
         gens = PolynomialGenerators(g, polys)
-        for s, basis in enumerate(ideal_bases(gens, g, 7)):
+        for s, basis in enumerate(ideal_bases(gens, 7)):
             assert keys_are_degree_masks(basis, g, s), s
             assert basis == reference_basis(gens, g, s), s
 
 
-def test_ideal_bases_reject_foreign_index():
-    gens = ideal_generators(3, 2, "full")
-    with pytest.raises(ValueError, match="laid out for g=3, not g=2"):
-        ideal_bases(gens, 2, 3)
+def test_ideals_equal_by_degree_rejects_sets_of_two_layouts():
+    # masks laid out for g = 3 and g = 2 name different monomials
+    with pytest.raises(ValueError, match="laid out for g=3 and g=2"):
+        ideals_equal_by_degree(ideal_generators(3, 2, "full"),
+                               ideal_generators(2, 2, "full"), 3)
 
 
 def without(gens, i):
@@ -712,9 +720,9 @@ def test_ideals_equal_by_degree_failing_flags_match_reference():
         (stable_24, without(full_24, 0), 2, 8, [6]),
     ]
     for a, b, g, top, failing in cases:
-        flags = ideals_equal_by_degree(a, b, g, top)
-        reference = [(s, lattice.lattice_equal(ideal_degree_rows(a, g, s),
-                                               ideal_degree_rows(b, g, s)))
+        flags = ideals_equal_by_degree(a, b, top)
+        reference = [(s, lattice.lattice_equal(ideal_degree_rows(a, s),
+                                               ideal_degree_rows(b, s)))
                      for s in range(top + 1)]
         assert flags == reference
         assert [s for s, flag in flags if not flag] == failing
@@ -740,7 +748,7 @@ def test_ideal_bases_work_counts_g4_n4(monkeypatch):
     monkeypatch.setattr(lattice, "hermite_rows", counting)
     for mode, counts in expected.items():
         seen.clear()
-        ideal_bases(ideal_generators(4, 4, mode), 4, 8)
+        ideal_bases(ideal_generators(4, 4, mode), 8)
         assert seen == counts, mode
 
 
@@ -767,17 +775,17 @@ def verify_minimality_reference(g, n):
         stable = quotient.ideal_generators(g, n, "stable")
         return MinimalityReport(
             g, n, "stable",
-            degrees_equal=ideals_equal_by_degree(stable, full, g, 2 * n))
+            degrees_equal=ideals_equal_by_degree(stable, full, 2 * n))
     mode = "minimal_odd" if n % 2 else "minimal_even"
     minimal = quotient.ideal_generators(g, n, mode)
     q0 = GeneratorSet("q0", g, [p for p, m in zip(minimal.pairs, minimal.monomials)
                                 if m.q == 0])
-    q0_bases = ideal_bases(q0, g, n + 2 if mode == "minimal_even" else n + 1)
+    q0_bases = ideal_bases(q0, n + 2 if mode == "minimal_even" else n + 1)
     report = MinimalityReport(
         g, n, mode,
         rank_q0=len(q0_bases[n + 1]),
         expected_rank=comb(2 * g, n + 1),
-        degrees_equal=ideals_equal_by_degree(minimal, full, g, 2 * n))
+        degrees_equal=ideals_equal_by_degree(minimal, full, 2 * n))
     if mode == "minimal_even":
         extra = {_mask(m, g): c for m, c in minimal.polys[-1].terms.items()}
         report.extra_relation_outside = not lattice.all_in_lattice([extra], q0_bases[n + 2])
@@ -814,9 +822,9 @@ def two_sided_calls(monkeypatch):
     calls = []
     two_sided = quotient.ideals_equal_by_degree
 
-    def counting(a, b, g, top):
-        calls.append((g, top))
-        return two_sided(a, b, g, top)
+    def counting(a, b, top):
+        calls.append((a.g, top))
+        return two_sided(a, b, top)
 
     monkeypatch.setattr(quotient, "ideals_equal_by_degree", counting)
     return calls
@@ -854,7 +862,7 @@ def test_verify_minimality_falls_back_when_a_generator_is_missing(
     calls = two_sided_calls(monkeypatch)
     report = verify_minimality(3, 4)
     assert calls == [(3, 8)]
-    assert report.degrees_equal == ideals_equal_by_degree(short, full, 3, 8)
+    assert report.degrees_equal == ideals_equal_by_degree(short, full, 8)
     assert [s for s, flag in report.degrees_equal if not flag] == failing
     assert (report.rank_q0, report.extra_relation_outside) == (rank_q0, extra_outside)
     assert not report.ok
@@ -871,7 +879,7 @@ def test_verify_minimality_two_sided_when_not_a_subset(monkeypatch):
     calls = two_sided_calls(monkeypatch)
     report = verify_minimality(2, 4)
     assert calls == [(2, 8)]
-    assert report.degrees_equal == ideals_equal_by_degree(stable_24, cut_24, 2, 8)
+    assert report.degrees_equal == ideals_equal_by_degree(stable_24, cut_24, 8)
     assert [s for s, flag in report.degrees_equal if not flag] == [6]
 
 
@@ -886,7 +894,7 @@ def test_verify_minimality_compares_relations_not_just_monomials(monkeypatch):
     calls = two_sided_calls(monkeypatch)
     report = verify_minimality(2, 4)
     assert calls == [(2, 8)]
-    assert report.degrees_equal == ideals_equal_by_degree(unit, full_24, 2, 8)
+    assert report.degrees_equal == ideals_equal_by_degree(unit, full_24, 8)
     assert not any(flag for _, flag in report.degrees_equal)
 
 
@@ -918,10 +926,30 @@ def test_verify_minimality_work_counts(monkeypatch):
         assert (len(seen), sum(seen)) == counts, (g, n)
 
 
+def test_verify_minimality_g6_n6_hermite_work(monkeypatch):
+    # the figures `lattice`'s docstring quotes: 14 Hermite forms over
+    # 68,216 input rows, and no entry of their output wider than 4 bits
+    hermite_rows = lattice.hermite_rows
+    seen = []
+
+    def counting(rows):
+        rows = list(rows)
+        basis = hermite_rows(rows)
+        widest = max((abs(v).bit_length() for row in basis for v in row.values()), default=0)
+        seen.append((len(rows), widest))
+        return basis
+
+    monkeypatch.setattr(lattice, "hermite_rows", counting)
+    assert verify_minimality(6, 6).ok
+    assert len(seen) == 14
+    assert sum(n_rows for n_rows, _ in seen) == 68216
+    assert max(widest for _, widest in seen) == 4
+
+
 def test_stable_ideal_equals_full_g1_n2():
     stable = ideal_generators(1, 2, "stable")
     full = ideal_generators(1, 2, "full")
-    assert all(flag for _, flag in ideals_equal_by_degree(stable, full, 1, 4))
+    assert all(flag for _, flag in ideals_equal_by_degree(stable, full, 4))
 
 
 def poly_vector(p, basis):
@@ -955,7 +983,7 @@ def test_higher_q_generators_reduce_to_lower_q():
                 lower = GeneratorSet("lower", g, [
                     pair for pair, mm in zip(full.pairs, full.monomials) if mm.q < q])
                 deg = p.degree()
-                rows = ideal_degree_rows(lower, g, deg)
+                rows = ideal_degree_rows(lower, deg)
                 vec = poly_vector(p, monomials_of_degree(g, deg))
                 assert lattice.lattice_membership(vec, rows), (g, n, m)
 
