@@ -68,9 +68,8 @@ class SurfacePowerMap:
     """The generator assignment from the quotient model into the n-th
     tensor power of the genus-g surface ring.
 
-    ``image`` and ``image_of_monomial`` build the image as a tensor, the
-    reference the tests compare against, from the spread-class tensors
-    ``xi``, ``xi_prime`` and ``eta``, built on first use.
+    ``image`` builds the image as a tensor, the reference the tests
+    compare against.
     ``row_coordinates`` and ``coordinates`` read basis coordinates from a
     store of images keyed by (mask, q), the mask `quotient._mask(m, g)`.
     A mask's bits in increasing order are the written order and y comes
@@ -97,36 +96,18 @@ class SurfacePowerMap:
         self._images: dict[tuple[int, int], dict[BasisIndex, int]] = {
             (0, 0): {BasisIndex((), (), n): 1}}
 
-    def _spread(self, name: str) -> TensorElement:
-        return sym_element(self.ring, self.n, [self.ring.gen(name)])
-
-    @cached_property
-    def xi(self) -> dict[int, TensorElement]:
-        return {i: self._spread(f"a{i}") for i in range(1, self.g + 1)}
-
-    @cached_property
-    def xi_prime(self) -> dict[int, TensorElement]:
-        return {i: self._spread(f"a{i + self.g}") for i in range(1, self.g + 1)}
-
-    @cached_property
-    def eta(self) -> TensorElement:
-        return self._spread("b")
-
-    def image_of_monomial(self, m: Monomial) -> TensorElement:
-        """Product of the generator images in the canonical written order."""
-        out = TensorElement.unit(self.ring, self.n)
-        for i in m.xs:
-            out = tensor_multiply(out, self.xi[i])
-        for j in m.xp:
-            out = tensor_multiply(out, self.xi_prime[j])
-        for _ in range(m.q):
-            out = tensor_multiply(out, self.eta)
-        return out
-
     def image(self, p: Polynomial) -> TensorElement:
-        out = TensorElement.zero(self.ring, self.n)
+        """The image of p as a tensor: each monomial's spread classes,
+        ``sym_element`` of a_i, a_{i+g} and b, multiplied in the written
+        order.  The reference the tests compare against."""
+        ring, n = self.ring, self.n
+        out = TensorElement.zero(ring, n)
         for m, c in p.terms.items():
-            out = out + c * self.image_of_monomial(m)
+            term = TensorElement.unit(ring, n)
+            for name in ([f"a{i}" for i in m.xs] + [f"a{j + self.g}" for j in m.xp]
+                         + ["b"] * m.q):
+                term = tensor_multiply(term, sym_element(ring, n, [ring.gen(name)]))
+            out = out + c * term
         return out
 
     def generator_indices(self, mask: int, q: int) -> list[BasisIndex]:

@@ -301,69 +301,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "tables, surface presentations, lattice certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def arg(*flags, **kwargs):
+        return flags, kwargs
+
+    def command(name, func, help, *args, **options):
+        # the subcommand's own arguments in order, then --format
+        p = sub.add_parser(name, help=help, **options)
+        for flags, kwargs in args:
+            p.add_argument(*flags, **kwargs)
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("validate", help="check a ring-spec file")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("sym-basis", help="basis of the invariant subring")
-    p.add_argument("spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_sym_basis)
-
-    p = sub.add_parser("sym-table", help="integer multiplication table")
-    p.add_argument("spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_sym_table)
-
-    p = sub.add_parser("betti", help="ranks of the surface symmetric power")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("relations", aliases=["mac"],
-                       help="generating sets of the relation ideal")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", default="full",
-                   choices=("full", "stable", "minimal_odd", "minimal_even"))
-    common(p)
-    p.set_defaults(func=cmd_relations)
-
-    p = sub.add_parser("nf", help="normal form modulo the relation ideal")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("poly", nargs="?")  # optional here; `main` finds or demands it
-    common(p)
-    p.set_defaults(func=cmd_nf)
-
-    p = sub.add_parser("verify", help="minimality certificate")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bridge", help="compare the two models degree by degree")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", default="full",
-                   choices=("full", "stable", "minimal_odd", "minimal_even"))
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility and ignored: every run "
-                        "is one serial pass")
-    p.add_argument("--seed", type=int, default=20240501)
-    common(p)
-    p.set_defaults(func=cmd_bridge)
-
+    spec = arg("spec")
+    g, n = arg("--g", type=int, required=True), arg("--n", type=int, required=True)
+    mode = arg("--mode", default="full", choices=quotient.MODES)
+    command("validate", cmd_validate, "check a ring-spec file", spec)
+    command("sym-basis", cmd_sym_basis, "basis of the invariant subring",
+            spec, n, arg("--degree", type=int, default=None))
+    command("sym-table", cmd_sym_table, "integer multiplication table",
+            spec, n, arg("--max-degree", type=int, required=True))
+    command("betti", cmd_betti, "ranks of the surface symmetric power", g, n)
+    command("relations", cmd_relations, "generating sets of the relation ideal",
+            g, n, mode, aliases=["mac"])
+    # poly is optional here; `main` finds or demands it
+    command("nf", cmd_nf, "normal form modulo the relation ideal",
+            g, n, arg("poly", nargs="?"))
+    command("verify", cmd_verify, "minimality certificate", g, n)
+    command("bridge", cmd_bridge, "compare the two models degree by degree",
+            g, n, mode, arg("--max-degree", type=int, default=None),
+            arg("--jobs", type=int, default=1,
+                help="accepted for compatibility and ignored: every run "
+                     "is one serial pass"),
+            arg("--seed", type=int, default=20240501))
     return parser
 
 

@@ -116,16 +116,14 @@ def packaged_fixture_dir() -> str:
 
 
 def resolve_spec_path(spec: str) -> str:
-    """Locate a ring-spec file: literal path first, then $SYMPROD_FIXTURES,
-    then the fixtures shipped with the package.  Only files count: a
-    directory of the same name is passed over."""
-    if os.path.isfile(spec):
-        return spec
-    candidates = []
-    env_dir = os.environ.get(FIXTURES_ENV)
-    if env_dir:
-        candidates.append(os.path.join(env_dir, spec))
-    candidates.append(os.path.join(packaged_fixture_dir(), spec))
+    """Locate a ring-spec file: the literal path first, then, for a
+    relative spec, $SYMPROD_FIXTURES and the fixtures shipped with the
+    package.  Only files count: a directory of the same name is passed
+    over.  The error names exactly the paths tried."""
+    candidates = [spec]
+    if not os.path.isabs(spec):
+        dirs = (os.environ.get(FIXTURES_ENV), packaged_fixture_dir())
+        candidates += [os.path.join(d, spec) for d in dirs if d]
     for path in candidates:
         if os.path.isfile(path):
             return path

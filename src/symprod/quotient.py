@@ -275,6 +275,11 @@ class GeneratorSet:
         return self._rows
 
 
+# the generating-set modes `ideal_generators` accepts, in the order the
+# CLI lists them
+MODES = ("full", "stable", "minimal_odd", "minimal_even")
+
+
 def ideal_generators(g: int, n: int, mode: str) -> GeneratorSet:
     """Generating sets of the relation ideal.
 
@@ -321,11 +326,11 @@ def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
 
     Rewrites the monomials of weight >= n+1 one weight at a time, from
     the largest down, visiting only the weights some term has (y^(10^12)
-    takes one step): one with no paired block is itself a relation and
-    drops; otherwise its relation replaces it by terms of strictly smaller
-    weight, since each block the relation swaps for y lowers the weight by
-    1.  So rewriting one weight-w monomial never touches another of weight
-    w, and after weight n+1 only weight <= n monomials are left.
+    takes one step).  A monomial's relation replaces it by terms of
+    strictly smaller weight, since each block the relation swaps for y
+    lowers the weight by 1; one with no paired block is its own relation
+    and cancels.  So rewriting one weight-w monomial never touches another
+    of weight w, and after weight n+1 only weight <= n monomials are left.
 
     The work reads the closed form `_mask_relation_row`, never a decoded
     relation: terms are masks (see `_mask`) laid out for the largest index
@@ -347,9 +352,6 @@ def normal_form(f: Polynomial, g: int, n: int) -> Polynomial:
     # weight (d + e) / 2 > n for the terms with e > 2n - d set bits
     while work and (e := max(map(int.bit_count, work))) > 2 * n - d:
         for target in [t for t in work if t.bit_count() == e]:
-            if not target & target >> layout:
-                del work[target]
-                continue
             row = _mask_relation_row(target, layout)
             eps = row.get(target, 0)
             if eps not in (1, -1):

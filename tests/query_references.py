@@ -6,11 +6,15 @@ filters by degree.  Also the quotient model as it was before relation
 generators were kept as masks: the closed form in subset order, the
 generators' monomials as validated `Monomial`s, a row writer that sorts
 its terms, and the bridge spot check's draws from a pool of `Monomial`s.
-`test_query_paths.py` compares the fast paths with them."""
+`test_query_paths.py` compares the fast paths with them.  And the CLI's
+parser with every subcommand's arguments written out in full, whose help
+texts `test_cli.py` compares with the parser's."""
 
+import argparse
 import itertools
 import random
 
+from symprod import cli
 from symprod.quotient import (
     Monomial,
     NonHomogeneousError,
@@ -142,3 +146,78 @@ def spot_check_draws_reference(g, n, samples, seed):
     rng = random.Random(seed)
     pool = [m for s in range(1, n + 1) for m in monomials_of_degree(g, s)]
     return [(rng.choice(pool), rng.choice(pool)) for _ in range(samples)]
+
+
+def build_parser_reference():
+    # every subcommand written out in full, as `cli.build_parser` was
+    # before one helper declared them
+    parser = argparse.ArgumentParser(
+        prog="symprod",
+        description="Exact cohomology of symmetric products: tensor-power "
+                    "tables, surface presentations, lattice certificates.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+
+    p = sub.add_parser("validate", help="check a ring-spec file")
+    p.add_argument("spec")
+    common(p)
+    p.set_defaults(func=cli.cmd_validate)
+
+    p = sub.add_parser("sym-basis", help="basis of the invariant subring")
+    p.add_argument("spec")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--degree", type=int, default=None)
+    common(p)
+    p.set_defaults(func=cli.cmd_sym_basis)
+
+    p = sub.add_parser("sym-table", help="integer multiplication table")
+    p.add_argument("spec")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--max-degree", type=int, required=True)
+    common(p)
+    p.set_defaults(func=cli.cmd_sym_table)
+
+    p = sub.add_parser("betti", help="ranks of the surface symmetric power")
+    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    common(p)
+    p.set_defaults(func=cli.cmd_betti)
+
+    p = sub.add_parser("relations", aliases=["mac"],
+                       help="generating sets of the relation ideal")
+    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--mode", default="full",
+                   choices=("full", "stable", "minimal_odd", "minimal_even"))
+    common(p)
+    p.set_defaults(func=cli.cmd_relations)
+
+    p = sub.add_parser("nf", help="normal form modulo the relation ideal")
+    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("poly", nargs="?")  # optional here; `main` finds or demands it
+    common(p)
+    p.set_defaults(func=cli.cmd_nf)
+
+    p = sub.add_parser("verify", help="minimality certificate")
+    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    common(p)
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("bridge", help="compare the two models degree by degree")
+    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--mode", default="full",
+                   choices=("full", "stable", "minimal_odd", "minimal_even"))
+    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored: every run "
+                        "is one serial pass")
+    p.add_argument("--seed", type=int, default=20240501)
+    common(p)
+    p.set_defaults(func=cli.cmd_bridge)
+
+    return parser

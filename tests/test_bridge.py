@@ -84,10 +84,12 @@ def test_multiplicativity_spot_check():
 
 
 def test_image_of_written_order_is_canonical():
-    # x1.x'1 maps to xi_1 * xi'_1 in that order
+    # x1.x'1 maps to chi[a1] * chi[a2] in that order
     fmap = SurfacePowerMap(1, 2)
-    from symprod.tensors import tensor_multiply
-    direct = tensor_multiply(fmap.xi[1], fmap.xi_prime[1])
+    from symprod.tensors import sym_element, tensor_multiply
+    ring = fmap.ring
+    direct = tensor_multiply(sym_element(ring, 2, [ring.gen("a1")]),
+                             sym_element(ring, 2, [ring.gen("a2")]))
     assert fmap.image(Polynomial.monomial(Monomial((1,), (1,), 0))) == direct
 
 
@@ -100,8 +102,8 @@ def test_report_json_round_trip():
 
 
 def test_bridge_paths_build_no_oracle_tensors(monkeypatch):
-    # xi, xi_prime and eta are built on first use, and only the oracle
-    # image reads them; the kernel paths must never build one
+    # only the oracle image builds spread-class tensors; the kernel paths
+    # must never build one
     def refuse(*args, **kwargs):
         raise AssertionError("spread-class tensor built")
 

@@ -14,7 +14,7 @@ from symprod.rings import Generator, Ring, RingSpecError, load_ring, ring_from_d
 from symprod.sympower import structure_constants, table_to_dict
 from symprod.fixtures import sphere2_ring
 from oracles import table_from_dict
-from query_references import relations_doc_reference
+from query_references import build_parser_reference, relations_doc_reference
 from test_kernel import NONCOMMUTATIVE_TORUS
 
 
@@ -98,6 +98,32 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+def test_missing_relative_spec_names_every_path_tried(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SYMPROD_FIXTURES", str(tmp_path / "fixtures"))
+    code, out, err = run(capsys, "validate", "no_such.ring")
+    searched = ["no_such.ring", str(tmp_path / "fixtures" / "no_such.ring"),
+                os.path.join(packaged_fixture_dir(), "no_such.ring")]
+    assert (code, out) == (2, "")
+    assert err == f"error: no ring-spec file 'no_such.ring' found (searched {searched})\n"
+    # a relative spec that exists is its literal path, before the fixtures
+    (tmp_path / "fixtures" / "out").mkdir(parents=True)
+    (tmp_path / "out").mkdir()
+    for d in (tmp_path, tmp_path / "fixtures"):
+        (d / "out" / "torus.ring").write_text((Path(packaged_fixture_dir()) / "torus.ring").read_text())
+    monkeypatch.chdir(tmp_path)
+    assert resolve_spec_path(os.path.join("out", "torus.ring")) == os.path.join("out", "torus.ring")
+
+
+def test_missing_absolute_spec_names_only_its_path(tmp_path, monkeypatch, capsys):
+    # an absolute spec is looked up nowhere else: joined onto a fixture
+    # directory it is itself again
+    monkeypatch.setenv("SYMPROD_FIXTURES", str(tmp_path))
+    for spec in (str(tmp_path), str(tmp_path / "no_such.ring")):
+        code, out, err = run(capsys, "validate", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: no ring-spec file {spec!r} found (searched {[spec]})\n"
+
+
 def test_directory_spec_exits_2(tmp_path, capsys):
     # a directory is no ring spec: a diagnostic, not an IsADirectoryError
     for argv in (["validate", str(tmp_path)],
@@ -120,6 +146,36 @@ def test_invalid_mode_exit_code(capsys):
     code, _, err = run(capsys, "relations", "--g", "2", "--n", "2",
                        "--mode", "stable")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    [], ["validate"], ["sym-basis"], ["sym-table"], ["betti"], ["relations"],
+    ["mac"], ["nf"], ["verify"], ["bridge"]], ids=lambda c: c[0] if c else "top")
+def test_help_matches_reference_parser(monkeypatch, capsys, command):
+    # texts, not a stored digest: argparse lays help out differently
+    # across Python versions
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [*command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        build_parser_reference().parse_args(argv)
+    assert exc.value.code == 0
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == want
+    assert want.out.startswith("usage: symprod")
+
+
+@pytest.mark.parametrize("command", ["relations", "mac", "bridge"])
+def test_unknown_mode_names_the_modes(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--g", "2", "--n", "2", "--mode", "nosuch"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    listed = err[err.index("invalid choice"):]
+    places = [listed.find(m) for m in ("nosuch", "full", "stable", "minimal_odd", "minimal_even")]
+    assert -1 not in places and places == sorted(places), err
 
 
 def test_relations_counts(capsys):

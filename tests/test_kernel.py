@@ -29,7 +29,7 @@ from symprod.sympower import (
     realize,
     structure_constants,
 )
-from symprod.tensors import tensor_multiply
+from symprod.tensors import sym_element, tensor_multiply
 
 
 def oracle_entries(ring, n, max_degree):
@@ -143,8 +143,12 @@ def test_chained_products_equal_tensor_products():
     g, n = 2, 3
     fmap = SurfacePowerMap(g, n)
     pool = [m for s in range(1, n + 1) for m in monomials_of_degree(g, s)]
+
+    def image(m):
+        return fmap.image(Polynomial.monomial(m))
+
     for m1, m2 in itertools.islice(itertools.product(pool, pool), 0, None, 37):
-        direct = tensor_multiply(fmap.image_of_monomial(m1), fmap.image_of_monomial(m2))
+        direct = tensor_multiply(image(m1), image(m2))
         want = {k: int(c) for k, c in expand(direct).items()}
         got = fmap.times(fmap.row_coordinates({_mask(m1, g): 1}, m1.degree),
                          fmap.generator_indices(_mask(m2, g), m2.q))
@@ -158,9 +162,13 @@ def test_spread_classes_are_basis_elements():
         [idx] = fmap.generator_indices(_mask(m, 2), m.q)
         return realize(fmap.ring, idx)
 
-    assert spread(Monomial((2,), (), 0)) == fmap.xi[2]
-    assert spread(Monomial((), (1,), 0)) == fmap.xi_prime[1]
-    assert spread(Monomial((), (), 1)) == fmap.eta
+    def chi(name):
+        return sym_element(fmap.ring, 3, [fmap.ring.gen(name)])
+
+    # x2 -> chi[a2], x'1 -> chi[a_{1+g}] = chi[a3], y -> chi[b]
+    assert spread(Monomial((2,), (), 0)) == chi("a2")
+    assert spread(Monomial((), (1,), 0)) == chi("a3")
+    assert spread(Monomial((), (), 1)) == chi("b")
 
 
 def test_remainder_of_pad_division_is_a_theorem_violation(monkeypatch):
