@@ -29,8 +29,8 @@ def print_table(name, ring, n=2):
 
 def main():
     print(__doc__)
-    print_table("the sphere product", fixtures.s2xs2_ring())
-    print_table("the projective-plane connected sum", fixtures.cp2_conn_cp2bar_ring())
+    print_table("the sphere product", fixtures.load_fixture("s2xs2"))
+    print_table("the projective-plane connected sum", fixtures.load_fixture("cp2_conn_cp2bar"))
     print("Both tables are integral, as the theory guarantees, and both rings")
     print("have the same number of basis classes in each degree.  The entries")
     print("differ, but entries depend on the basis, so that alone separates")

@@ -12,7 +12,7 @@ from symprod.sympower import structure_constants, table_to_dict
 
 
 def main():
-    sphere = fixtures.sphere2_ring()
+    sphere = fixtures.load_fixture("sphere2")
     first = structure_constants(sphere, 2, 4)
     doc = table_to_dict(first)
     print("table of the squared sphere power, as a ring spec:")

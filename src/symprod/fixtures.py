@@ -1,9 +1,11 @@
-"""Built-in ring presentations used throughout the tests and the CLI.
+"""The ring families, and the lookup of the shipped ring-spec files.
 
-Covers the closed orientable surfaces, the 2-sphere, the four-manifold
-pairs with intersection forms [[0,1],[1,0]] and [[1,0],[0,-1]], the cone
-attachments with even Hopf invariant (u^2 = 2k v), and the 3-manifold
-family realizing the skew 3-form of strength s.
+The ``.ring`` files under ``fixtures/`` are the only definition of the
+fixed rings (sphere2, s2xs2, cp2_conn_cp2bar); ``load_fixture`` reads any
+shipped file by name.  The families below, closed surfaces, even Hopf
+cones (u^2 = 2k v) and the skew 3-form of strength s, cover every
+parameter; the nine other files are their instances, written byte for
+byte as ``json.dumps(ring_to_dict(ring), indent=2) + "\n"``.
 """
 
 from __future__ import annotations
@@ -29,36 +31,6 @@ def surface_ring(g: int) -> Ring:
         products[(f"a{i}", f"a{i + g}")] = {"b": 1}
         products[(f"a{i + g}", f"a{i}")] = {"b": -1}
     return Ring(gens, products, name=f"surface_g{g}")
-
-
-def torus_ring() -> Ring:
-    return surface_ring(1)
-
-
-def sphere2_ring() -> Ring:
-    """H of the 2-sphere: one degree-2 generator squaring to zero."""
-    return Ring([Generator("b", 2)], {}, name="sphere2")
-
-
-def s2xs2_ring() -> Ring:
-    """Product of two 2-spheres: even intersection form [[0,1],[1,0]]."""
-    gens = [Generator("u1", 2), Generator("u2", 2), Generator("w", 4)]
-    products = {
-        ("u1", "u2"): {"w": 1},
-        ("u2", "u1"): {"w": 1},
-    }
-    return Ring(gens, products, name="s2xs2")
-
-
-def cp2_conn_cp2bar_ring() -> Ring:
-    """Connected sum of the complex projective plane with its reverse:
-    odd intersection form [[1,0],[0,-1]]."""
-    gens = [Generator("u1", 2), Generator("u2", 2), Generator("w", 4)]
-    products = {
-        ("u1", "u1"): {"w": 1},
-        ("u2", "u2"): {"w": -1},
-    }
-    return Ring(gens, products, name="cp2_conn_cp2bar")
 
 
 def hopf_ring(k: int, m: int = 1) -> Ring:
@@ -92,21 +64,6 @@ def sullivan_ring(s: int) -> Ring:
         products[(f"g{i}", f"a{i}")] = {"w": 1}
     return Ring(gens, products, name=f"sullivan_mu_{s}")
 
-
-BUILTIN = {
-    "torus": torus_ring,
-    "surface_g2": lambda: surface_ring(2),
-    "surface_g3": lambda: surface_ring(3),
-    "sphere2": sphere2_ring,
-    "s2xs2": s2xs2_ring,
-    "cp2_conn_cp2bar": cp2_conn_cp2bar_ring,
-    "hopf_2": lambda: hopf_ring(1),
-    "hopf_4": lambda: hopf_ring(2),
-    "hopf_6": lambda: hopf_ring(3),
-    "sullivan_mu_1": lambda: sullivan_ring(1),
-    "sullivan_mu_2": lambda: sullivan_ring(2),
-    "sullivan_mu_3": lambda: sullivan_ring(3),
-}
 
 FIXTURES_ENV = "SYMPROD_FIXTURES"
 

@@ -366,6 +366,8 @@ def load_ring(path) -> Ring:
             doc = json.load(f)
     except OSError as e:  # a directory, or no permission to read
         raise RingSpecError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise RingSpecError(f"{path}: not UTF-8: {e}") from None
     except json.JSONDecodeError as e:
         raise RingSpecError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
     return ring_from_dict(doc)

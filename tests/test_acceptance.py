@@ -97,7 +97,7 @@ def test_criterion_5_integrality():
             for entry in table.entries.values():
                 assert all(isinstance(c, int) for c in entry.values())
         for n in range(2, 6):
-            structure_constants(fixtures.sphere2_ring(), n, 2 * n)
+            structure_constants(fixtures.load_fixture("sphere2"), n, 2 * n)
             for k in (1, 2, 3):
                 structure_constants(fixtures.hopf_ring(k), n, 4 * n)
 
@@ -105,7 +105,7 @@ def test_criterion_5_integrality():
 def test_criterion_6_sphere_powers_are_truncated_polynomial():
     with criterion(6, "sphere powers are truncated polynomial rings"):
         for n in range(2, 6):
-            ring = fixtures.sphere2_ring()
+            ring = fixtures.load_fixture("sphere2")
             b = ring.position["b"]
             table = structure_constants(ring, n, 2 * n + 2)
             gamma = {p: BasisIndex((), ((b, p),), n - p) for p in range(1, n + 1)}

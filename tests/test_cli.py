@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symprod.cli import json_text, main, table_json
-from symprod.fixtures import packaged_fixture_dir, resolve_spec_path
+from symprod.fixtures import load_fixture, packaged_fixture_dir, resolve_spec_path
 from symprod.rings import Generator, Ring, RingSpecError, load_ring, ring_from_dict
 from symprod.sympower import structure_constants, table_to_dict
-from symprod.fixtures import sphere2_ring
 from oracles import table_from_dict
 from query_references import build_parser_reference, relations_doc_reference
 from test_kernel import NONCOMMUTATIVE_TORUS
@@ -136,6 +135,33 @@ def test_directory_spec_exits_2(tmp_path, capsys):
         load_ring(tmp_path)
 
 
+def test_non_utf8_spec_names_its_path(tmp_path, capsys):
+    path = tmp_path / "bad.ring"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(RingSpecError) as info:
+        load_ring(path)
+    assert str(info.value).startswith(f"{path}: ") and "0xff" in str(info.value)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {info.value}\n"
+
+
+def test_unreadable_spec_names_its_path(tmp_path, monkeypatch, capsys):
+    # running as root reads any file, so the denial is simulated
+    path = tmp_path / "locked.ring"
+    path.write_text((Path(packaged_fixture_dir()) / "torus.ring").read_text())
+
+    def refuse(file, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(file))
+
+    monkeypatch.setattr("symprod.rings.open", refuse, raising=False)
+    with pytest.raises(RingSpecError) as info:
+        load_ring(path)
+    assert str(info.value) == f"{path}: Permission denied"
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: Permission denied\n")
+
+
 def test_bad_poly_exit_code(capsys):
     code, _, err = run(capsys, "nf", "--g", "1", "--n", "2", "x1.x1")
     assert code == 2
@@ -193,7 +219,7 @@ def test_sym_table_json_reingests_as_ring(capsys):
     doc = json.loads(out)
     ring = ring_from_dict(doc)
     assert ring.validate().ok
-    table = table_from_dict(sphere2_ring(), doc)
+    table = table_from_dict(load_fixture("sphere2"), doc)
     assert len(table.basis) == 2
 
 

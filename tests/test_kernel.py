@@ -74,20 +74,20 @@ NONCOMMUTATIVE_TORUS = Ring(
     {("a1", "a2"): {"b": 1}, ("a2", "a1"): {"b": 1}}, name="noncommutative_torus")
 
 GRID = [
-    (fixtures.torus_ring(), 2, 4),
-    (fixtures.torus_ring(), 3, 6),
+    (fixtures.surface_ring(1), 2, 4),
+    (fixtures.surface_ring(1), 3, 6),
     (fixtures.surface_ring(2), 2, 4),
     (fixtures.surface_ring(2), 3, 6),
     (fixtures.surface_ring(3), 2, 4),
-    (fixtures.sphere2_ring(), 4, 8),
+    (fixtures.load_fixture("sphere2"), 4, 8),
     (fixtures.hopf_ring(1), 3, 12),
     (fixtures.hopf_ring(2), 2, 8),
     (fixtures.hopf_ring(3), 3, 12),
     (fixtures.sullivan_ring(1), 2, 6),
     (fixtures.sullivan_ring(2), 3, 5),
     (fixtures.sullivan_ring(3), 2, 6),
-    (fixtures.s2xs2_ring(), 3, 12),
-    (fixtures.cp2_conn_cp2bar_ring(), 3, 12),
+    (fixtures.load_fixture("s2xs2"), 3, 12),
+    (fixtures.load_fixture("cp2_conn_cp2bar"), 3, 12),
     (NONCOMMUTATIVE_TORUS, 2, 4),
     (NONCOMMUTATIVE_TORUS, 3, 6),
 ]
@@ -180,7 +180,7 @@ def test_remainder_of_pad_division_is_a_theorem_violation(monkeypatch):
                         lambda ring, slots: list(whole(ring, slots))[:-1])
     with pytest.raises(TheoremViolationError,
                        match=r"1/2 in chi\[b\] \* chi\[b\] at chi\[b\^2\]"):
-        structure_constants(fixtures.sphere2_ring(), 3, 6)
+        structure_constants(fixtures.load_fixture("sphere2"), 3, 6)
 
 
 def test_kernel_rejects_products_breaking_degree_parity():
@@ -195,7 +195,7 @@ def test_kernel_rejects_products_breaking_degree_parity():
 
 
 def test_kernel_rejects_arity_mismatch():
-    ring = fixtures.torus_ring()
+    ring = fixtures.surface_ring(1)
     product = IndexProduct(ring)
     i = enumerate_basis(ring, 2)[0]
     j = enumerate_basis(ring, 3)[0]
@@ -207,7 +207,7 @@ def test_kernel_rejects_arity_mismatch():
 
 @pytest.mark.parametrize("ring,n,max_degree,calls,entries", [
     (fixtures.surface_ring(2), 4, 8, 623, 1219),
-    (fixtures.torus_ring(), 2, 4, 14, 24),
+    (fixtures.surface_ring(1), 2, 4, 14, 24),
     # no graded commutativity: every ordered pair goes through the kernel
     (NONCOMMUTATIVE_TORUS, 2, 4, 24, 24),
     (NONCOMMUTATIVE_TORUS, 3, 6, 60, 60),

@@ -1,6 +1,7 @@
 import copy
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,31 @@ from symprod.rings import (
     Ring,
     RingSpecError,
     add_terms,
+    load_ring,
     ring_from_dict,
     ring_to_dict,
 )
 
+# every shipped spec file, so a new one is covered with no test edit
+SHIPPED = sorted(Path(fixtures.packaged_fixture_dir()).glob("*.ring"))
+
+# the shipped files that are instances of a family builder
+FAMILY_FILES = {
+    "torus": lambda: fixtures.surface_ring(1),
+    "surface_g2": lambda: fixtures.surface_ring(2),
+    "surface_g3": lambda: fixtures.surface_ring(3),
+    "hopf_2": lambda: fixtures.hopf_ring(1),
+    "hopf_4": lambda: fixtures.hopf_ring(2),
+    "hopf_6": lambda: fixtures.hopf_ring(3),
+    "sullivan_mu_1": lambda: fixtures.sullivan_ring(1),
+    "sullivan_mu_2": lambda: fixtures.sullivan_ring(2),
+    "sullivan_mu_3": lambda: fixtures.sullivan_ring(3),
+}
+
 
 @pytest.fixture
 def torus():
-    return fixtures.torus_ring()
+    return fixtures.surface_ring(1)
 
 
 def test_torus_validates(torus):
@@ -43,14 +61,20 @@ def test_hopf_validates_for_every_k():
 
 
 def test_all_shipped_fixtures_validate():
-    for name, ctor in fixtures.BUILTIN.items():
-        report = ctor().validate()
-        assert report.ok, (name, [str(v) for v in report.violations])
+    assert len(SHIPPED) >= 12
+    for path in SHIPPED:
+        report = load_ring(path).validate()
+        assert report.ok, (path.name, [str(v) for v in report.violations])
 
 
 def test_fixture_files_match_constructors():
-    for name, ctor in fixtures.BUILTIN.items():
-        assert fixtures.load_fixture(name) == ctor()
+    for name, ctor in FAMILY_FILES.items():
+        ring = ctor()
+        assert fixtures.load_fixture(name) == ring
+        # byte for byte: the one way a family file is written
+        written = json.dumps(ring_to_dict(ring), indent=2) + "\n"
+        path = Path(fixtures.packaged_fixture_dir()) / f"{name}.ring"
+        assert path.read_bytes() == written.encode(), name
 
 
 def test_torus_multiplication(torus):
@@ -90,7 +114,7 @@ def test_sullivan_triple_product():
 def test_graded_commutativity_property():
     # multiply(a,b) = (-1)^{|a||b|} multiply(b,a) on all generator pairs
     for name in ("torus", "surface_g2", "sullivan_mu_2", "s2xs2", "hopf_4"):
-        ring = fixtures.BUILTIN[name]()
+        ring = fixtures.load_fixture(name)
         for gi in ring.generators:
             for gj in ring.generators:
                 a, b = ring.gen(gi.name), ring.gen(gj.name)
@@ -100,7 +124,7 @@ def test_graded_commutativity_property():
 
 def test_associativity_exhaustive_on_fixtures():
     for name in ("surface_g2", "sullivan_mu_3", "cp2_conn_cp2bar"):
-        ring = fixtures.BUILTIN[name]()
+        ring = fixtures.load_fixture(name)
         gens = [ring.gen(g.name) for g in ring.generators]
         for a in gens:
             for b in gens:
@@ -124,7 +148,7 @@ def test_element_degree(torus):
 
 
 def test_cross_ring_multiplication_rejected(torus):
-    other = fixtures.torus_ring()
+    other = fixtures.surface_ring(1)
     with pytest.raises(MalformedElementError):
         torus.multiply(torus.gen("a1"), other.gen("a1"))
 

@@ -1,12 +1,13 @@
 import dataclasses
 import pickle
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from symprod import fixtures
-from symprod.rings import ring_from_dict
+from symprod.rings import load_ring, ring_from_dict
 from symprod.sympower import (
     BasisIndex,
     NotSymmetricError,
@@ -23,6 +24,7 @@ from symprod.sympower import (
 from symprod.tensors import Perm, TensorElement, act, elementary, tensor_multiply
 
 from oracles import expand_via_pairing, index_from_dict, table_from_dict
+from test_rings import SHIPPED
 
 
 def idx(ring, odd=(), even=(), pad=0):
@@ -45,12 +47,12 @@ def brute_realize(ring, index):
 
 @pytest.fixture
 def torus():
-    return fixtures.torus_ring()
+    return fixtures.surface_ring(1)
 
 
 @pytest.fixture
 def sphere():
-    return fixtures.sphere2_ring()
+    return fixtures.load_fixture("sphere2")
 
 
 # -- basis enumeration -----------------------------------------------------
@@ -93,6 +95,40 @@ def test_enumerate_counts_match_closed_formula():
             for k in range(1, 2 * n + 1):
                 assert len(enumerate_basis(ring, n, degree=k)) \
                     == closed_form(g, n, k), (g, n, k)
+
+
+def macdonald_counts(ring, n):
+    """{d: coefficient of u^n t^d, d >= 1} in Macdonald's Poincare series
+    prod_{k odd} (1 + t^k u)^{b_k} / prod_{k even} (1 - t^k u)^{b_k}, where
+    b_k counts the generators of degree k and b_0 = 1 is the unit."""
+    series = {(0, 0): 1}  # (power of u, power of t) -> coefficient, cut at u^n
+    for k in [0] + [g.degree for g in ring.generators]:
+        top = 1 if k % 2 else n  # 1 + t^k u, or 1/(1 - t^k u) = sum_j (t^k u)^j
+        grown = Counter()
+        for (m, d), c in series.items():
+            for j in range(min(top, n - m) + 1):
+                grown[m + j, d + j * k] += c
+        series = grown
+    return {d: c for (m, d), c in series.items() if m == n and d >= 1}
+
+
+MACDONALD_RINGS = {path.name: (lambda path=path: load_ring(path)) for path in SHIPPED}
+MACDONALD_RINGS.update({
+    # family members no file ships, and a re-ingested symmetric square
+    "surface_g4": lambda: fixtures.surface_ring(4),
+    "hopf_2_m2": lambda: fixtures.hopf_ring(1, 2),
+    "sullivan_mu_4": lambda: fixtures.sullivan_ring(4),
+    "sym2_surface_g2": lambda: ring_from_dict(table_to_dict(
+        structure_constants(fixtures.load_fixture("surface_g2"), 2, 4))),
+})
+
+
+@pytest.mark.parametrize("name", MACDONALD_RINGS)
+def test_basis_counts_are_macdonalds_poincare_series(name):
+    ring = MACDONALD_RINGS[name]()
+    for n in range(2, 7):
+        counts = Counter(index.degree(ring) for index in enumerate_basis(ring, n))
+        assert counts == macdonald_counts(ring, n), (name, n)
 
 
 # -- realization -----------------------------------------------------------
@@ -164,7 +200,7 @@ def test_pair_matching_and_mismatched(torus, sphere):
 
 
 def test_pair_exhaustive_duality():
-    for ring, n in [(fixtures.surface_ring(2), 2), (fixtures.sphere2_ring(), 3),
+    for ring, n in [(fixtures.surface_ring(2), 2), (fixtures.load_fixture("sphere2"), 3),
                     (fixtures.sullivan_ring(2), 2)]:
         basis = enumerate_basis(ring, n)
         for gamma in basis:
@@ -355,6 +391,12 @@ def test_table_json_round_trip(sphere):
     # the emitted dialect re-ingests as a ring presentation and validates
     ring = ring_from_dict(doc)
     assert ring.validate().ok
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.name)
+def test_shipped_table_reingests_and_validates(path):
+    table = structure_constants(load_ring(path), 2, 4)
+    assert ring_from_dict(table_to_dict(table)).validate().ok
 
 
 def test_index_json_round_trip(torus):

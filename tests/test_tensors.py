@@ -30,12 +30,12 @@ def brute_symmetrize(t):
 
 @pytest.fixture
 def torus():
-    return fixtures.torus_ring()
+    return fixtures.surface_ring(1)
 
 
 @pytest.fixture
 def sphere():
-    return fixtures.sphere2_ring()
+    return fixtures.load_fixture("sphere2")
 
 
 def test_perm_basics():
@@ -111,7 +111,7 @@ def test_square_of_spread_class_on_sphere(sphere):
 def test_multiply_arity_and_ring_mismatch(torus):
     with pytest.raises(ArityError):
         tensor_multiply(elementary(torus, ["a1"]), elementary(torus, ["a1", None]))
-    other = fixtures.torus_ring()
+    other = fixtures.surface_ring(1)
     with pytest.raises(ArityError):
         tensor_multiply(elementary(torus, ["a1"]), elementary(other, ["a1"]))
 
