@@ -195,7 +195,7 @@ def bridge_degree(g: int, n: int, s: int) -> DegreeMatrix:
     monos = quotient_basis(g, n, s)
     tensor_rank = len(fmap.positions.get(s, {}))
     matrix = [fmap.coordinates(m, s) for m in monos]
-    smith = lattice.smith(matrix) if matrix else []
+    smith = lattice.smith(matrix)
     # a square matrix is unimodular exactly when its Smith invariants are all 1
     return DegreeMatrix(
         degree=s,
@@ -218,11 +218,9 @@ def check_isomorphism(g: int, n: int, mode: str = "full",
     generating set of the relation ideal maps to zero, reading each
     relation's closed-form row, never a decoded polynomial.
     """
-    if g < 1 or n < 2:
-        raise ValueError(f"need g >= 1 and n >= 2, got g={g}, n={n}")
+    relations = ideal_generators(g, n, mode).rows()  # rejects g < 1 and n < 2
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"need max_degree >= 0, got max_degree={max_degree}")
-    relations = ideal_generators(g, n, mode).rows()
     top = 2 * n if max_degree is None else min(max_degree, 2 * n)
     report = BridgeReport(g, n, mode, max_degree=top)
     report.degrees.extend(bridge_degree(g, n, s) for s in range(top + 1))
@@ -258,22 +256,7 @@ def multiplicativity_spot_check(g: int, n: int, samples: int = 8,
 # -- report JSON ------------------------------------------------------------
 
 def report_to_dict(report: BridgeReport) -> dict:
-    return {
-        "g": report.g,
-        "n": report.n,
-        "mode": report.mode,
-        "max_degree": report.max_degree,
-        "verdict": report.verdict,
-        "relations_vanish": report.relations_vanish,
-        "degrees": [
-            {
-                "degree": d.degree,
-                "quotient_rank": d.quotient_rank,
-                "tensor_rank": d.tensor_rank,
-                "matrix": d.matrix,
-                "unimodular": d.unimodular,
-                "smith": d.smith,
-            }
-            for d in report.degrees
-        ],
-    }
+    """The report's fields, its verdict and each degree's fields.  A
+    shallow copy: each ``matrix`` is the report's own list."""
+    return dict(vars(report), verdict=report.verdict,
+                degrees=[dict(vars(d)) for d in report.degrees])

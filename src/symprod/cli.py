@@ -146,13 +146,8 @@ def _emit(args, text_fn, doc):
 def cmd_validate(args) -> int:
     ring = load_ring(resolve_spec_path(args.spec))
     report = ring.validate()
-    doc = {
-        "ring": ring.name or args.spec,
-        "ok": report.ok,
-        "violations": [{"invariant": v.invariant,
-                        "witness": list(v.witness),
-                        "detail": v.detail} for v in report.violations],
-    }
+    doc = {"ring": ring.name or args.spec, "ok": report.ok,
+           "violations": [vars(v) for v in report.violations]}
 
     def text(doc):
         if doc["ok"]:
@@ -160,7 +155,7 @@ def cmd_validate(args) -> int:
         else:
             print(f"{doc['ring']}: FAILED")
             for v in doc["violations"]:
-                print(f"  {v['invariant']} at {tuple(v['witness'])}: {v['detail']}")
+                print(f"  {v['invariant']} at {v['witness']}: {v['detail']}")
 
     _emit(args, text, doc)
     return EXIT_OK
@@ -239,16 +234,7 @@ def cmd_nf(args) -> int:
 
 def cmd_verify(args) -> int:
     report = quotient.verify_minimality(args.g, args.n)
-    doc = {
-        "g": report.g,
-        "n": report.n,
-        "case": report.case,
-        "ok": report.ok,
-        "rank_q0": report.rank_q0,
-        "expected_rank": report.expected_rank,
-        "extra_relation_outside": report.extra_relation_outside,
-        "degrees_equal": report.degrees_equal,
-    }
+    doc = dict(vars(report), ok=report.ok)
 
     def text(doc):
         print(f"case: {doc['case']}")

@@ -590,7 +590,10 @@ def verify_minimality(g: int, n: int) -> MinimalityReport:
     the minimal set's generators of degree n+1, and it has none below, so
     q0's rank is |B_{n+1}|, and for even n q0's basis in degree n+2 is one
     propagation step from B_{n+1} and B_n with no generator added.  The
-    extra relation is the one generator with a y; a set without it fails.
+    extra relation is the set's one generator of degree n+2, so B_{n+2} is
+    that step with it added; Hermite bases are canonical, so the two differ
+    exactly when the extra relation lies outside q0's lattice.  A set
+    without it has the two equal and fails.
     """
     full = ideal_generators(g, n, "full")  # rejects g < 1 and n < 2
     stable = n >= 2 * g - 1
@@ -603,12 +606,8 @@ def verify_minimality(g: int, n: int) -> MinimalityReport:
         expected_rank=None if stable else comb(2 * g, n + 1),
         degrees_equal=_degrees_equal(small, full, bases))
     if mode == "minimal_even":
-        q0_basis = _degree_basis(g, n + 2, bases[:n + 2], ())
-        # the relation whose monomial has y-exponent (d - popcount) / 2 > 0
-        extra = next((row for (d, mask), (_, row) in zip(small.pairs, small.rows())
-                      if d > mask.bit_count()), None)
-        report.extra_relation_outside = extra is not None and not lattice.all_in_lattice(
-            [extra], q0_basis)
+        report.extra_relation_outside = (
+            bases[n + 2] != _degree_basis(g, n + 2, bases[:n + 2], ()))
     return report
 
 

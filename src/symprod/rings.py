@@ -107,8 +107,6 @@ class Ring:
                 if coeff:
                     entry[self._pos(gen_name)] = int(coeff)
             if entry:
-                if (i, j) in self.products:
-                    raise RingSpecError(f"duplicate product entry {left!r}*{right!r}")
                 self.products[(i, j)] = entry
 
     def _pos(self, name: str) -> int:
@@ -254,6 +252,8 @@ class Element:
         return hash((id(self.ring), tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
+        if other.ring is not self.ring:
+            raise MalformedElementError("elements from a different presentation")
         return Element(self.ring, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):

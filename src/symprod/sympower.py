@@ -165,12 +165,10 @@ def _even_multisets(positions, budget):
             yield ((head, m),) + rest if m else rest
 
 
-def realize(ring: Ring, idx: BasisIndex, n: int | None = None) -> TensorElement:
+def realize(ring: Ring, idx: BasisIndex) -> TensorElement:
     """The basis element as a tensor: every distinct arrangement of the
     sorted slot multiset with its Koszul sign, times the product of the
     even multiplicities' factorials."""
-    if n is not None and idx.arity != n:
-        raise ValueError(f"index arity {idx.arity} != n = {n}")
     lead = idx.leading_multiplier
     slots = idx.sorted_slots(ring)
     terms = {arr: Fraction(lead * sign)

@@ -136,16 +136,10 @@ class TensorElement:
         degs = {sum(self.ring.slot_degree(s) for s in key) for key in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def act(self, sigma: Perm) -> "TensorElement":
-        return act(sigma, self)
-
     def is_symmetric(self) -> bool:
         """Fixed by every adjacent transposition (hence by all of S_n)."""
         return all(act(Perm.transposition(self.n, i, i + 1), self) == self
                    for i in range(self.n - 1))
-
-    def symmetrize(self) -> "TensorElement":
-        return symmetrize(self)
 
     def __repr__(self):
         if not self.terms:
@@ -280,7 +274,7 @@ def has_repeated_odd(ring: Ring, sorted_slots: tuple[int, ...]) -> bool:
 
 
 def symmetrize(t: TensorElement) -> TensorElement:
-    """Invariant projection Sym(t) = (1/n!) sum over sigma of t.act(sigma).
+    """Invariant projection Sym(t) = (1/n!) sum over sigma of act(sigma, t).
 
     Computed orbit by orbit: terms whose multiset repeats an odd generator
     average to zero, all other orbits contribute each distinct arrangement

@@ -101,6 +101,19 @@ def test_report_json_round_trip():
     assert again.verdict == report.verdict
 
 
+def test_report_to_dict_shares_each_matrix():
+    # a shallow copy: a deep copy would double every matrix in memory
+    report = check_isomorphism(2, 2)
+    doc = report_to_dict(report)
+    for k, d in enumerate(report.degrees):
+        assert doc["degrees"][k]["matrix"] is d.matrix
+
+
+def test_bad_g_is_named_before_a_bad_max_degree():
+    with pytest.raises(ValueError, match="need g >= 1 and n >= 2, got g=0, n=3"):
+        check_isomorphism(0, 3, max_degree=-1)
+
+
 def test_bridge_paths_build_no_oracle_tensors(monkeypatch):
     # only the oracle image builds spread-class tensors; the kernel paths
     # must never build one

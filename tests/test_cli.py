@@ -15,6 +15,7 @@ from symprod.sympower import structure_constants, table_to_dict
 from oracles import table_from_dict
 from query_references import build_parser_reference, relations_doc_reference
 from test_kernel import NONCOMMUTATIVE_TORUS
+from test_rings import SHIPPED
 
 
 def run(capsys, *argv):
@@ -524,10 +525,7 @@ def assert_table_json_is_json_dumps(table, monkeypatch):
     assert got == want
 
 
-FIXTURE_SPECS = sorted(f for f in os.listdir(packaged_fixture_dir()) if f.endswith(".ring"))
-
-
-@pytest.mark.parametrize("spec", FIXTURE_SPECS)
+@pytest.mark.parametrize("spec", [path.name for path in SHIPPED])
 def test_table_json_equals_json_dumps_on_fixtures(spec, monkeypatch):
     ring = load_ring(resolve_spec_path(spec))
     for n in (2, 3, 4):

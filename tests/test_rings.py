@@ -153,6 +153,16 @@ def test_cross_ring_multiplication_rejected(torus):
         torus.multiply(torus.gen("a1"), other.gen("a1"))
 
 
+def test_cross_ring_addition_rejected():
+    # positions of two presentations are not one ring's: a1 of the torus
+    # and b of the sphere both sit at position 0
+    a1 = fixtures.surface_ring(1).gen("a1")
+    b = fixtures.load_fixture("sphere2").gen("b")
+    for combine in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(MalformedElementError, match="different presentation"):
+            combine(a1, b)
+
+
 def test_generator_ordering_odd_then_even():
     ring = fixtures.sullivan_ring(1)
     degrees = [g.degree for g in ring.generators]
