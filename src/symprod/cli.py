@@ -108,25 +108,32 @@ def table_json(table) -> str:
     the table.
 
     Each label is quoted once, and so is the tail of its ``"gen"`` item;
-    each product entry is one piece.  A graded-commutative table shares
-    one result dict between (i, j) and (j, i), and that dict is sorted
-    and written once.
+    each product entry is one piece, its right factor's part read by basis
+    position.  A graded-commutative table shares one result dict between
+    (i, j) and (j, i), and that dict is sorted and written once.
     """
     head, labels, in_order = table_layout(table)
     quoted = {idx: encode_basestring_ascii(label) for idx, label in labels.items()}
     tails = {idx: f',\n          "gen": {q}\n        }}' for idx, q in quoted.items()}
     lefts = {idx: f'{{\n      "left": {q},\n      "result": ' for idx, q in quoted.items()}
-    rights = {idx: f',\n      "right": {q}\n    }}' for idx, q in quoted.items()}
+    rights = [f',\n      "right": {quoted[idx]}\n    }}' for idx in table.basis]
     results: dict[int, str] = {}  # by id of a result dict the table holds
     products = []
-    for (i, j), entry in table.entries.items():
+    # the entries come row by row, and the partners of a row are a prefix
+    # of the basis: an entry's right factor is the basis class at the
+    # entry's position in its row
+    prev = None
+    for (i, _), entry in table.entries.items():
+        if i is not prev:
+            prev, left, b = i, lefts[i], 0
         if not entry:
             result = "[]"
         elif (result := results.get(id(entry))) is None:
             items = ",\n        ".join([f'{{\n          "coeff": {c}{tails[k]}'
                                         for k, c in in_order(entry)])
             result = results[id(entry)] = f"[\n        {items}\n      ]"
-        products.append(f"{lefts[i]}{result}{rights[j]}")
+        products.append(f"{left}{result}{rights[b]}")
+        b += 1
     out = ['{\n  "generators": ']
     _write_json(head["generators"], "  ", out)
     out.append(f',\n  "max_degree": {head["max_degree"]},\n  "n": {head["n"]},'

@@ -11,7 +11,6 @@ byte as ``json.dumps(ring_to_dict(ring), indent=2) + "\n"``.
 from __future__ import annotations
 
 import os
-from importlib import resources
 
 from .rings import Generator, Ring, load_ring
 
@@ -69,7 +68,7 @@ FIXTURES_ENV = "SYMPROD_FIXTURES"
 
 
 def packaged_fixture_dir() -> str:
-    return str(resources.files("symprod") / "fixtures")
+    return os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def resolve_spec_path(spec: str) -> str:

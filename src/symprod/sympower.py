@@ -259,9 +259,15 @@ class IndexProduct:
     |orbit of j| rational terms and an expansion: the orbit is kept in
     blocks by first slot, and a block whose first slot multiplies i's
     first slot to zero is skipped whole.  The division by pad_i! is the
-    integrality certificate.  The slot-product table, the orbits and the
-    sorted forms are cached per instance, and ``row`` reads i's slots and
-    slot-product rows once for all of js.  A result is keyed by the index
+    integrality certificate.
+
+    Each right index's signed arrangements are enumerated once, with the
+    odd positions of each; the sign a left index's odd slots put on them
+    is read off those positions.  The slot-product table, the orbits, the
+    sorted forms and each result key's index and pad_k! are cached per
+    instance, and ``row`` reads i's slots and slot-product rows once for
+    all of js.  A term is stepped as one (slots, coefficient) pair until a
+    slot product has more than one term.  A result is keyed by the index
     of ``basis`` with its sorted slots when there is one, so a consumer
     that passes its basis objects finds every result key among them by
     identity; other keys are built from the slots.
@@ -282,10 +288,14 @@ class IndexProduct:
                         "so products of invariant tensors are not invariant")
         self._mul = [[tuple(ring.gen_product(a, b).items()) for b in slots]
                      for a in slots]
-        self._orbits: dict[tuple[BasisIndex, int], list[tuple[int, list]]] = {}
-        self._sorted: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {}
-        self._indices: dict[tuple[int, ...], BasisIndex] = {
-            idx.sorted_slots(ring): idx for idx in basis}
+        # j -> (arity, blocks (b[0], [(b[1:], coeff), ...]), the odd
+        # positions of each b as a bit mask, block by block)
+        self._arrangements: dict[BasisIndex, tuple[int, list, list]] = {}
+        # (arity, flips) -> j -> blocks (b[0], [(b[1:], signed coeff), ...])
+        self._orbits: dict[tuple[int, int], dict[BasisIndex, list]] = {}
+        self._sorted: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        self._indices: dict[tuple[int, ...], tuple[BasisIndex, int]] = {
+            idx.sorted_slots(ring): (idx, factorial(idx.pad)) for idx in basis}
 
     def __call__(self, i: BasisIndex, j: BasisIndex) -> dict[BasisIndex, int]:
         return self.row(i, [j])[0]
@@ -294,47 +304,51 @@ class IndexProduct:
         """The products i * j for each j in js, in order."""
         a = i.sorted_slots(self.ring)
         first, *rest = [self._mul[s] for s in a]
-        odd_left = len(i.odd)
         den = factorial(i.pad)
-        orbits = self._orbits
+        # i's odd slots come first: the arrangements of j with an odd
+        # number of odd slots at these positions change sign (see _orbit)
+        flips = sum(1 << p for p in range(len(i.odd) - 2, -1, -2))
+        # an orbit is kept for the arity it was checked against
+        orbits = self._orbits.setdefault((len(a), flips), {})
         known = self._sorted
         out = []
         for j in js:
-            blocks = orbits.get((j, odd_left)) or self._orbit(j, odd_left)
-            # every tail in j's orbit is one slot shorter than j
-            if len(blocks[0][1][0][0]) != len(rest):
-                raise ValueError(f"index arities differ: {i.arity} vs {j.arity}")
+            blocks = orbits.get(j) or self._orbit(j, len(a), flips)
             acc: dict[tuple[int, ...], int] = {}
             for b0, block in blocks:
                 head = first[b0]
                 if not head:
                     continue
+                t0, v0 = head[0]
                 for tail, coeff in block:
-                    terms = [((t,), coeff * v) for t, v in head]
+                    # one term (slots, c) until a slot product has more,
+                    # then the list of terms
+                    slots, c = (t0,), coeff * v0
+                    terms = [((t,), coeff * v) for t, v in head] if len(head) > 1 else None
                     for slot_row, s in zip(rest, tail):
                         combo = slot_row[s]
                         if not combo:
                             break
-                        if len(combo) == 1:
+                        if terms is None and len(combo) == 1:
                             (t, v), = combo
-                            terms = [(pref + (t,), c * v) for pref, c in terms]
+                            slots += (t,)
+                            c *= v
                         else:
-                            terms = [(pref + (t,), c * v)
-                                     for pref, c in terms for t, v in combo]
+                            terms = [(pref + (t,), x * v) for pref, x in terms or [(slots, c)]
+                                     for t, v in combo]
                     else:
-                        for slots, c in terms:
-                            hit = known[slots] if slots in known else self._sort(slots)
-                            if hit is not None:
-                                key, sign = hit
-                                acc[key] = acc.get(key, 0) + sign * c
+                        for t_slots, x in terms or [(slots, c)]:
+                            key, sign = known.get(t_slots) or self._sort(t_slots)
+                            if sign:
+                                acc[key] = acc.get(key, 0) + sign * x
             # c_k = pad_k! * acc[k] / pad_i!, by sorted key
             result = {}
             for key in sorted(acc):
                 total = acc[key]
                 if not total:
                     continue
-                k = self._index(key)
-                num = factorial(k.pad) * total
+                k, pad_factorial = self._index(key)
+                num = pad_factorial * total
                 c, rem = divmod(num, den)
                 if rem:
                     ring = self.ring
@@ -345,38 +359,58 @@ class IndexProduct:
             out.append(result)
         return out
 
-    def _orbit(self, j: BasisIndex, odd_left: int) -> list[tuple[int, list]]:
+    def _orbit(self, j: BasisIndex, arity: int, flips: int) -> list[tuple[int, list]]:
         """The terms b of realize(j), with integer coefficients times the
-        interchange sign of e * b for an e whose first ``odd_left`` slots
-        are its odd ones: (-1)^(sum over p < q of |b_p| |e_q|) counts, for
-        each odd b_p, the odd slots of e after position p.  The terms come
-        in lex order, so those sharing a first slot b[0] are contiguous;
-        they are kept as blocks (b[0], [(b[1:], coeff), ...]).  Built on a
-        miss of the cache that ``row`` reads."""
-        lead = j.leading_multiplier
-        odd = self._odd
-        orbit = []
-        for b, sign in signed_arrangements(self.ring, j.sorted_slots(self.ring)):
-            flips = sum(odd_left - 1 - p for p in range(odd_left - 1) if odd[b[p]])
-            if not orbit or orbit[-1][0] != b[0]:
-                orbit.append((b[0], []))
-            orbit[-1][1].append((b[1:], -lead * sign if flips % 2 else lead * sign))
-        self._orbits[(j, odd_left)] = orbit
-        return orbit
+        interchange sign of e * b for an e of the given arity whose first
+        L slots are its odd ones: (-1)^(sum over p < q of |b_p| |e_q|)
+        counts, for each odd b_p with p < L - 1, the L - 1 - p odd slots
+        of e after position p, so it is the parity of the odd b_p at the
+        positions p = L - 2, L - 4, ..., the bits set in ``flips``.  The
+        terms come in lex order, so those sharing a first slot b[0] are
+        contiguous; they are kept as blocks (b[0], [(b[1:], coeff), ...]).
 
-    def _sort(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-        """Sorted slots and Koszul sign, or None if an odd slot repeats.
+        j's arrangements are enumerated on its first miss and kept with the
+        odd positions of each b as a bit mask; unsigned, they are the orbit
+        for ``flips`` = 0 and for a j without odd slots.  A miss for other
+        flips reads the signs off the stored masks.  Built on a miss of the
+        cache that ``row`` reads."""
+        hit = self._arrangements.get(j)
+        if hit is None:
+            lead = j.leading_multiplier
+            odd = self._odd
+            slots = j.sorted_slots(self.ring)
+            blocks, odd_at = [], []
+            for b, sign in signed_arrangements(self.ring, slots):
+                if not blocks or blocks[-1][0] != b[0]:
+                    blocks.append((b[0], []))
+                    odd_at.append([])
+                blocks[-1][1].append((b[1:], lead * sign))
+                odd_at[-1].append(sum(1 << p for p, s in enumerate(b) if odd[s]))
+            hit = self._arrangements[j] = (len(slots), blocks, odd_at)
+        width, blocks, odd_at = hit
+        if width != arity:
+            raise ValueError(f"index arities differ: {arity} vs {width}")
+        if flips and j.odd:
+            blocks = [(b0, [(tail, -c if (at & flips).bit_count() % 2 else c)
+                            for (tail, c), at in zip(block, ats)])
+                      for (b0, block), ats in zip(blocks, odd_at)]
+        self._orbits[(arity, flips)][j] = blocks
+        return blocks
+
+    def _sort(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """Sorted slots and Koszul sign, the sign 0 if an odd slot repeats.
         Computed on a miss of the cache that ``row`` reads."""
         key, sign = sorted_slots_with_sign(self.ring, slots)
-        hit = None if has_repeated_odd(self.ring, key) else (key, sign)
-        self._sorted[slots] = hit
+        hit = self._sorted[slots] = (key, 0 if has_repeated_odd(self.ring, key) else sign)
         return hit
 
-    def _index(self, key: tuple[int, ...]) -> BasisIndex:
-        idx = self._indices.get(key)
-        if idx is None:
-            idx = self._indices[key] = index_from_sorted_slots(self.ring, key)
-        return idx
+    def _index(self, key: tuple[int, ...]) -> tuple[BasisIndex, int]:
+        """The index with sorted slots ``key``, and pad_k!."""
+        hit = self._indices.get(key)
+        if hit is None:
+            idx = index_from_sorted_slots(self.ring, key)
+            hit = self._indices[key] = (idx, factorial(idx.pad))
+        return hit
 
 
 class StructureTable:
@@ -387,6 +421,8 @@ class StructureTable:
     Koszul sign, so does the invariant subring (the paper's Theorem 1), and
     each unordered pair is multiplied once: (j, i) is (i, j) with its
     values negated when |i||j| is odd.  Otherwise both orders are computed.
+    The kernel computes the table row by row, and the mirrored half is
+    read from the earlier rows by basis position.
     """
 
     def __init__(self, ring: Ring, n: int, max_degree: int):
@@ -401,23 +437,26 @@ class StructureTable:
         entries = self.entries
         # results keyed by the basis objects themselves: the writers look
         # each key up in dicts keyed by the basis, and hit on identity
-        product = IndexProduct(ring, self.basis)
+        basis = self.basis
+        product = IndexProduct(ring, basis)
         mirror = not ring.commutativity_violations()
-        degrees = [idx.degree(ring) for idx in self.basis]
-        for a, (i, di) in enumerate(zip(self.basis, degrees)):
+        degrees = [idx.degree(ring) for idx in basis]
+        rows = []
+        for a, (i, di) in enumerate(zip(basis, degrees)):
             # the basis is sorted by degree: the partners within the bound
             # are a prefix, and one kernel row computes the new products
             stop = bisect_right(degrees, max_degree - di)
             start = min(a, stop) if mirror else 0
-            computed = iter(product.row(i, self.basis[start:stop]))
-            for b in range(stop):
-                j = self.basis[b]
-                if b >= start:
-                    entries[(i, j)] = next(computed)
-                elif di * degrees[b] % 2:
-                    entries[(i, j)] = {k: -c for k, c in entries[(j, i)].items()}
-                else:
-                    entries[(i, j)] = entries[(j, i)]
+            computed = product.row(i, basis[start:stop])
+            rows.append(computed)
+            for b in range(start):
+                # row b, which started at b, holds (j, i) at position a - b
+                mirrored = rows[b][a - b]
+                if di * degrees[b] % 2:
+                    mirrored = {k: -c for k, c in mirrored.items()}
+                entries[(i, basis[b])] = mirrored
+            for j, entry in zip(basis[start:stop], computed):
+                entries[(i, j)] = entry
 
     def product(self, i: BasisIndex, j: BasisIndex) -> dict[BasisIndex, int]:
         return self.entries[(i, j)]

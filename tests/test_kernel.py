@@ -9,6 +9,7 @@ key order included, on the same inputs and at larger sizes.
 """
 
 import itertools
+import json
 from datetime import timedelta
 
 import pytest
@@ -16,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import IndexProductReference
 
-from symprod import fixtures
+from symprod import fixtures, sympower
 from symprod.bridge import SurfacePowerMap
+from symprod.cli import table_json
 from symprod.quotient import Monomial, Polynomial, _mask, monomials_of_degree, quotient_basis
-from symprod.rings import Generator, Ring
+from symprod.rings import Generator, Ring, ring_from_dict
 from symprod.sympower import (
     IndexProduct,
     NotSymmetricError,
@@ -28,6 +30,7 @@ from symprod.sympower import (
     expand,
     realize,
     structure_constants,
+    table_to_dict,
 )
 from symprod.tensors import sym_element, tensor_multiply
 
@@ -73,6 +76,12 @@ NONCOMMUTATIVE_TORUS = Ring(
     [Generator("a1", 1), Generator("a2", 1), Generator("b", 2)],
     {("a1", "a2"): {"b": 1}, ("a2", "a1"): {"b": 1}}, name="noncommutative_torus")
 
+# Sym^2(surface_g2) up to degree 4 as `sym-table --format json` writes it,
+# read back as a ring: its generator products have several terms, which no
+# shipped ring's do
+SYM2_SURFACE_G2 = ring_from_dict(json.loads(table_json(
+    structure_constants(fixtures.surface_ring(2), 2, 4))))
+
 GRID = [
     (fixtures.surface_ring(1), 2, 4),
     (fixtures.surface_ring(1), 3, 6),
@@ -90,6 +99,7 @@ GRID = [
     (fixtures.load_fixture("cp2_conn_cp2bar"), 3, 12),
     (NONCOMMUTATIVE_TORUS, 2, 4),
     (NONCOMMUTATIVE_TORUS, 3, 6),
+    (SYM2_SURFACE_G2, 2, 4),
 ]
 
 
@@ -226,6 +236,43 @@ def test_kernel_calls_per_table(monkeypatch, ring, n, max_degree, calls, entries
     monkeypatch.setattr(IndexProduct, "row", counting)
     table = structure_constants(ring, n, max_degree)
     assert (counted, len(table.entries)) == (calls, entries)
+
+
+@pytest.mark.parametrize("ring,n,max_degree,enumerations", [
+    (fixtures.surface_ring(2), 4, 8, 46),
+    (fixtures.sullivan_ring(2), 3, 9, 87),
+], ids=["surface_g2-n4-d8", "sullivan_mu_2-n3-d9"])
+def test_kernel_enumerates_each_orbit_once(monkeypatch, ring, n, max_degree, enumerations):
+    # a right index's arrangements are enumerated on its first product
+    # only; the signs for other left indices are read off the stored ones
+    counted = 0
+    whole = sympower.signed_arrangements
+    rights = set()
+    row = IndexProduct.row
+
+    def counting(ring, slots):
+        nonlocal counted
+        counted += 1
+        return whole(ring, slots)
+
+    def recording(self, i, js):
+        rights.update(js)
+        return row(self, i, js)
+
+    monkeypatch.setattr(sympower, "signed_arrangements", counting)
+    monkeypatch.setattr(IndexProduct, "row", recording)
+    structure_constants(ring, n, max_degree)
+    assert counted == enumerations == len(rights)
+
+
+# -- multi-term slot products -------------------------------------------------
+
+@pytest.mark.parametrize("n,max_degree", [(2, 8), (3, 6)])
+def test_multi_term_products_equal_reference(n, max_degree):
+    assert any(len(combo) > 1 for combo in SYM2_SURFACE_G2.products.values())
+    table = structure_constants(SYM2_SURFACE_G2, n, max_degree)
+    assert_matches_reference(table)
+    assert table_json(table) == json.dumps(table_to_dict(table), indent=2, sort_keys=True)
 
 
 # -- random valid presentations ----------------------------------------------
