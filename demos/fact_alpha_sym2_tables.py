@@ -18,12 +18,14 @@ def print_table(name, ring, n=2):
     for idx in table.basis:
         print(f"  {idx.label(ring)}  (degree {idx.degree(ring)})")
     print("nonzero products (one triangle; the table is graded-commutative):")
-    for (i, j), entry in table.entries.items():
-        if table.basis.index(i) > table.basis.index(j) or not entry:
-            continue
-        rhs = " ".join(f"{c:+d}*{k.label(ring)}" for k, c in sorted(
-            entry.items(), key=lambda kv: kv[0].label(ring)))
-        print(f"  {i.label(ring)} * {j.label(ring)} = {rhs}")
+    # rows[a][b] is basis[a] * basis[b]; the triangle is b >= a
+    for a, (i, row) in enumerate(zip(table.basis, table.rows)):
+        for j, entry in zip(table.basis[a:], row[a:]):
+            if not entry:
+                continue
+            rhs = " ".join(f"{c:+d}*{k.label(ring)}" for k, c in sorted(
+                entry.items(), key=lambda kv: kv[0].label(ring)))
+            print(f"  {i.label(ring)} * {j.label(ring)} = {rhs}")
     print()
 
 

@@ -108,32 +108,27 @@ def table_json(table) -> str:
     the table.
 
     Each label is quoted once, and so is the tail of its ``"gen"`` item;
-    each product entry is one piece, its right factor's part read by basis
-    position.  A graded-commutative table shares one result dict between
-    (i, j) and (j, i), and that dict is sorted and written once.
+    each product entry is one piece, written from ``table.rows`` with its
+    left and right factors' parts read by basis position.  A
+    graded-commutative table shares one result dict between (i, j) and
+    (j, i), and that dict is sorted and written once.
     """
     head, labels, in_order = table_layout(table)
-    quoted = {idx: encode_basestring_ascii(label) for idx, label in labels.items()}
-    tails = {idx: f',\n          "gen": {q}\n        }}' for idx, q in quoted.items()}
-    lefts = {idx: f'{{\n      "left": {q},\n      "result": ' for idx, q in quoted.items()}
-    rights = [f',\n      "right": {quoted[idx]}\n    }}' for idx in table.basis]
+    quoted = [encode_basestring_ascii(labels[idx]) for idx in table.basis]
+    tails = {idx: f',\n          "gen": {q}\n        }}' for idx, q in zip(table.basis, quoted)}
+    lefts = [f'{{\n      "left": {q},\n      "result": ' for q in quoted]
+    rights = [f',\n      "right": {q}\n    }}' for q in quoted]
     results: dict[int, str] = {}  # by id of a result dict the table holds
     products = []
-    # the entries come row by row, and the partners of a row are a prefix
-    # of the basis: an entry's right factor is the basis class at the
-    # entry's position in its row
-    prev = None
-    for (i, _), entry in table.entries.items():
-        if i is not prev:
-            prev, left, b = i, lefts[i], 0
-        if not entry:
-            result = "[]"
-        elif (result := results.get(id(entry))) is None:
-            items = ",\n        ".join([f'{{\n          "coeff": {c}{tails[k]}'
-                                        for k, c in in_order(entry)])
-            result = results[id(entry)] = f"[\n        {items}\n      ]"
-        products.append(f"{left}{result}{rights[b]}")
-        b += 1
+    for left, row in zip(lefts, table.rows):
+        for entry, right in zip(row, rights):
+            if not entry:
+                result = "[]"
+            elif (result := results.get(id(entry))) is None:
+                items = ",\n        ".join([f'{{\n          "coeff": {c}{tails[k]}'
+                                            for k, c in in_order(entry)])
+                result = results[id(entry)] = f"[\n        {items}\n      ]"
+            products.append(f"{left}{result}{right}")
     out = ['{\n  "generators": ']
     _write_json(head["generators"], "  ", out)
     out.append(f',\n  "max_degree": {head["max_degree"]},\n  "n": {head["n"]},'

@@ -197,21 +197,24 @@ class Ring:
                         f"{'-' if sign < 0 else ''}product({self.slot_name(i)},{self.slot_name(j)})"))
         return violations
 
-    def validate(self) -> ValidationReport:
-        """Check the structure-constant table against the graded ring axioms."""
+    def degree_violations(self) -> list[Violation]:
+        """Generator products with a term whose degree is not the factors' sum."""
         violations = []
-        n = len(self.generators)
         deg = self._degrees
-
         for (i, j), combo in self.products.items():
             want = deg[i] + deg[j]
-            for k, c in combo.items():
+            for k in combo:
                 if deg[k] != want:
                     violations.append(Violation(
                         "degree additivity", (self.slot_name(i), self.slot_name(j)),
                         f"term {self.slot_name(k)} has degree {deg[k]}, expected {want}"))
+        return violations
 
-        violations += self.commutativity_violations()
+    def validate(self) -> ValidationReport:
+        """Check the structure-constant table against the graded ring axioms."""
+        violations = self.degree_violations() + self.commutativity_violations()
+        n = len(self.generators)
+        deg = self._degrees
 
         for i in range(n):
             if deg[i] % 2 and self.products.get((i, i)):

@@ -17,6 +17,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .rings import Ring, RingSpecError, add_terms
@@ -416,13 +417,14 @@ class IndexProduct:
 class StructureTable:
     """Integer multiplication table over the basis, truncated by degree.
 
-    ``entries`` holds every ordered pair (i, j) with |i| + |j| <= the
-    bound, in basis order.  When the ring's generators commute up to the
-    Koszul sign, so does the invariant subring (the paper's Theorem 1), and
-    each unordered pair is multiplied once: (j, i) is (i, j) with its
-    values negated when |i||j| is odd.  Otherwise both orders are computed.
-    The kernel computes the table row by row, and the mirrored half is
-    read from the earlier rows by basis position.
+    ``rows[a][b]`` is basis[a] * basis[b] for every b with |a| + |b| <=
+    the bound, a prefix of the basis, which is sorted by degree.  When the
+    ring's generators commute up to the Koszul sign, so does the invariant
+    subring (the paper's Theorem 1), and each unordered pair is multiplied
+    once: ``rows[a][b]`` (b < a) is ``rows[b][a]`` itself, or its negation
+    when |a||b| is odd.  Otherwise both orders are computed.  ``entries``
+    is a view keyed by basis pairs, built on first read.  Generator
+    products that do not add degrees raise ``RingSpecError``.
     """
 
     def __init__(self, ring: Ring, n: int, max_degree: int):
@@ -431,32 +433,30 @@ class StructureTable:
         self.ring = ring
         self.n = n
         self.max_degree = max_degree
-        self.basis = [idx for idx in enumerate_basis(ring, n)
-                      if idx.degree(ring) <= max_degree]
-        self.entries: dict[tuple[BasisIndex, BasisIndex], dict[BasisIndex, int]] = {}
-        entries = self.entries
+        self.basis = basis = [idx for idx in enumerate_basis(ring, n)
+                              if idx.degree(ring) <= max_degree]
         # results keyed by the basis objects themselves: the writers look
         # each key up in dicts keyed by the basis, and hit on identity
-        basis = self.basis
         product = IndexProduct(ring, basis)
+        # after the kernel's own check: a spec breaking parity is named so
+        if violations := ring.degree_violations():
+            v = violations[0]
+            raise RingSpecError(f"{v.invariant} fails for {'*'.join(v.witness)}: {v.detail}")
         mirror = not ring.commutativity_violations()
         degrees = [idx.degree(ring) for idx in basis]
-        rows = []
+        self.rows = rows = []
         for a, (i, di) in enumerate(zip(basis, degrees)):
-            # the basis is sorted by degree: the partners within the bound
-            # are a prefix, and one kernel row computes the new products
             stop = bisect_right(degrees, max_degree - di)
             start = min(a, stop) if mirror else 0
-            computed = product.row(i, basis[start:stop])
-            rows.append(computed)
-            for b in range(start):
-                # row b, which started at b, holds (j, i) at position a - b
-                mirrored = rows[b][a - b]
-                if di * degrees[b] % 2:
-                    mirrored = {k: -c for k, c in mirrored.items()}
-                entries[(i, basis[b])] = mirrored
-            for j, entry in zip(basis[start:stop], computed):
-                entries[(i, j)] = entry
+            # the mirrored half from the earlier rows, then one kernel row
+            rows.append([rows[b][a] if di * degrees[b] % 2 == 0
+                         else {k: -c for k, c in rows[b][a].items()}
+                         for b in range(start)]
+                        + product.row(i, basis[start:stop]))
+
+    @cached_property
+    def entries(self) -> dict[tuple[BasisIndex, BasisIndex], dict[BasisIndex, int]]:
+        return {(i, j): e for i, row in zip(self.basis, self.rows) for j, e in zip(self.basis, row)}
 
     def product(self, i: BasisIndex, j: BasisIndex) -> dict[BasisIndex, int]:
         return self.entries[(i, j)]

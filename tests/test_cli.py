@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from symprod.cli import json_text, main, table_json
 from symprod.fixtures import load_fixture, packaged_fixture_dir, resolve_spec_path
 from symprod.rings import Generator, Ring, RingSpecError, load_ring, ring_from_dict
-from symprod.sympower import structure_constants, table_to_dict
+from symprod.sympower import StructureTable, structure_constants, table_to_dict
 from oracles import table_from_dict
 from query_references import build_parser_reference, relations_doc_reference
 from test_kernel import NONCOMMUTATIVE_TORUS
@@ -366,6 +366,26 @@ def test_sym_table_rejects_parity_breaking_ring(tmp_path, capsys):
     assert "degree parity" in err
 
 
+@pytest.mark.parametrize("square", ["w", "u"])
+def test_sym_table_rejects_a_spec_that_does_not_add_degrees(tmp_path, capsys, square):
+    # u*u = w puts a term past the bound, where it names no basis class;
+    # u*u = u keeps the parity but not the degree
+    bad = {
+        "name": "bad_degree",
+        "generators": [{"name": "u", "degree": 2}, {"name": "w", "degree": 10}],
+        "products": [{"left": "u", "right": "u", "result": [{"gen": square, "coeff": 1}]}],
+    }
+    path = tmp_path / "degree.ring"
+    path.write_text(json.dumps(bad))
+    expected = 10 if square == "w" else 2
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "sym-table", str(path), "--n", "2",
+                             "--max-degree", "4", "--format", fmt)
+        assert (code, out) == (2, ""), fmt
+        assert err == (f"error: degree additivity fails for u*u: term {square} "
+                       f"has degree {expected}, expected 4\n"), fmt
+
+
 def test_fixture_env_var(tmp_path, capsys, monkeypatch):
     # a spec resolved through the fixture-path environment variable
     src = packaged_fixture_dir() + "/torus.ring"
@@ -537,6 +557,27 @@ def test_table_json_of_a_table_that_shares_no_entry(monkeypatch):
     table = structure_constants(NONCOMMUTATIVE_TORUS, 3, 6)
     assert len({id(e) for e in table.entries.values()}) == len(table.entries)
     assert_table_json_is_json_dumps(table, monkeypatch)
+
+
+def refusing_entries(table):
+    raise AssertionError("StructureTable.entries read")
+
+
+def test_sym_table_json_builds_no_entries_view(capsys, monkeypatch):
+    # the JSON writer reads the rows; the (i, j)-keyed view is never built
+    ring = load_ring(resolve_spec_path("surface_g2.ring"))
+    tables = [structure_constants(ring, 4, 8), structure_constants(NONCOMMUTATIVE_TORUS, 3, 6)]
+    wants = [json.dumps(table_to_dict(table), indent=2, sort_keys=True) for table in tables]
+    for table in tables:
+        del table.entries  # built by table_to_dict above
+    with monkeypatch.context() as patch:
+        patch.setattr(StructureTable, "entries", property(refusing_entries))
+        code, out, _ = run(capsys, "sym-table", "surface_g2.ring", "--n", "4",
+                           "--max-degree", "8", "--format", "json")
+        gots = [table_json(table) for table in tables]
+    assert (code, out) == (0, wants[0] + "\n")
+    assert gots == wants
+    assert all("entries" not in vars(table) for table in tables)
 
 
 def test_table_json_of_an_empty_table(capsys, monkeypatch):

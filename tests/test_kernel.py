@@ -238,6 +238,42 @@ def test_kernel_calls_per_table(monkeypatch, ring, n, max_degree, calls, entries
     assert (counted, len(table.entries)) == (calls, entries)
 
 
+# -- the table by basis position -----------------------------------------------
+
+@pytest.mark.parametrize("ring,n,max_degree", [
+    (fixtures.surface_ring(2), 4, 8),
+    (NONCOMMUTATIVE_TORUS, 3, 6),
+], ids=["surface_g2-n4-d8", "noncommutative-n3-d6"])
+def test_rows_hold_the_table_by_basis_position(ring, n, max_degree):
+    table = structure_constants(ring, n, max_degree)
+    basis, rows = table.basis, table.rows
+    degrees = [idx.degree(ring) for idx in basis]
+    assert len(rows) == len(basis)
+    for a, row in enumerate(rows):
+        # one entry per partner within the bound, a prefix of the basis
+        assert len(row) == sum(degrees[a] + d <= max_degree for d in degrees)
+    shared = [(a, b) for a, row in enumerate(rows) for b in range(a)
+              if b < len(row) and row[b] is rows[b][a]]
+    if ring.commutativity_violations():
+        # both orders are multiplied, and no entry is shared
+        assert shared == []
+        assert len({id(e) for row in rows for e in row}) == sum(map(len, rows))
+    else:
+        for a, row in enumerate(rows):
+            for b in range(min(a, len(row))):
+                if degrees[a] * degrees[b] % 2:
+                    assert row[b] == {k: -c for k, c in rows[b][a].items()}
+                    assert list(row[b]) == list(rows[b][a])
+                else:
+                    assert row[b] is rows[b][a]
+    # the entries view is the same dicts, keyed by basis pair, row by row
+    assert list(table.entries.items()) == [
+        ((basis[a], basis[b]), entry) for a, row in enumerate(rows)
+        for b, entry in enumerate(row)]
+    assert all(table.entries[(basis[a], basis[b])] is entry
+               for a, row in enumerate(rows) for b, entry in enumerate(row))
+
+
 @pytest.mark.parametrize("ring,n,max_degree,enumerations", [
     (fixtures.surface_ring(2), 4, 8, 46),
     (fixtures.sullivan_ring(2), 3, 9, 87),

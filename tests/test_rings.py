@@ -55,6 +55,18 @@ def test_broken_commutativity_detected():
     assert set(report.first.witness) == {"a1", "a2"}
 
 
+def test_broken_degree_additivity_detected():
+    # u*u = w with |w| = 10, not 2 + 2; the parity still adds up
+    bad = Ring([Generator("u", 2), Generator("w", 10)], {("u", "u"): {"w": 1}})
+    assert [vars(v) for v in bad.degree_violations()] == [
+        {"invariant": "degree additivity", "witness": ("u", "u"),
+         "detail": "term w has degree 10, expected 4"}]
+    assert bad.validate().violations[:1] == bad.degree_violations()
+    assert not bad.commutativity_violations()
+    for path in SHIPPED:
+        assert load_ring(path).degree_violations() == [], path.name
+
+
 def test_hopf_validates_for_every_k():
     for k in range(1, 6):
         assert fixtures.hopf_ring(k).validate().ok
