@@ -18,14 +18,16 @@ def print_table(name, ring, n=2):
     for idx in table.basis:
         print(f"  {idx.label(ring)}  (degree {idx.degree(ring)})")
     print("nonzero products (one triangle; the table is graded-commutative):")
-    # rows[a][b] is basis[a] * basis[b]; the triangle is b >= a
-    for a, (i, row) in enumerate(zip(table.basis, table.rows)):
-        for j, entry in zip(table.basis[a:], row[a:]):
+    # rows[a][b] is basis[a] * basis[b], keyed by basis position; the
+    # triangle is b >= a
+    labels = [idx.label(ring) for idx in table.basis]
+    for a, (left, row) in enumerate(zip(labels, table.rows)):
+        for right, entry in zip(labels[a:], row[a:]):
             if not entry:
                 continue
-            rhs = " ".join(f"{c:+d}*{k.label(ring)}" for k, c in sorted(
-                entry.items(), key=lambda kv: kv[0].label(ring)))
-            print(f"  {i.label(ring)} * {j.label(ring)} = {rhs}")
+            rhs = " ".join(f"{c:+d}*{labels[k]}" for k, c in sorted(
+                entry.items(), key=lambda kv: labels[kv[0]]))
+            print(f"  {left} * {right} = {rhs}")
     print()
 
 

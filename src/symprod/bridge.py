@@ -11,6 +11,7 @@ unimodular.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -76,9 +77,10 @@ class SurfacePowerMap:
     last, so an image is its prefix's times one spread class: the prefix
     is (mask, q - 1) when q > 0, else the mask without its highest bit.
     Each image is computed once, and callers must never change a stored
-    dict.  Kernel products are cached per map, and the tensor-power basis
-    is enumerated once per map; the kernel keys its results by those basis
-    objects, and ``positions`` groups them by degree.
+    dict.  The map's basis is the unit at position 0, then the tensor-power
+    basis, enumerated once per map and sorted by degree.  The kernel, the
+    stored images and the cached kernel products key a class by its
+    position there.
     """
 
     def __init__(self, g: int, n: int):
@@ -86,15 +88,15 @@ class SurfacePowerMap:
         self.n = n
         self.ring = surface_ring(g)
         pos = self.ring.position
-        # the spread class of the generator at mask bit k: x_i at bit i - 1
-        # is chi[a_i], x'_i at bit g + i - 1 is chi[a_{i+g}]
-        self._spread_idx = [BasisIndex((pos[f"a{k + 1}"],), (), n - 1) for k in range(2 * g)]
-        self._eta_idx = BasisIndex((), ((pos["b"], 1),), n - 1)
-        self._basis = enumerate_basis(self.ring, n)
-        self._kernel = IndexProduct(self.ring, self._basis)
-        self._products: dict[tuple[BasisIndex, BasisIndex], dict[BasisIndex, int]] = {}
-        self._images: dict[tuple[int, int], dict[BasisIndex, int]] = {
-            (0, 0): {BasisIndex((), (), n): 1}}
+        self._basis = basis = [BasisIndex((), (), n)] + enumerate_basis(self.ring, n)
+        # the position of the spread class of the generator at mask bit k:
+        # x_i at bit i - 1 is chi[a_i], x'_i at bit g + i - 1 is chi[a_{i+g}]
+        self._spread = [basis.index(BasisIndex((pos[f"a{k + 1}"],), (), n - 1))
+                        for k in range(2 * g)]
+        self._eta = basis.index(BasisIndex((), ((pos["b"], 1),), n - 1))
+        self._kernel = IndexProduct(self.ring, basis)
+        self._products: dict[tuple[int, int], dict[int, int]] = {}
+        self._images: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
 
     def image(self, p: Polynomial) -> TensorElement:
         """The image of p as a tensor: each monomial's spread classes,
@@ -110,17 +112,16 @@ class SurfacePowerMap:
             out = out + c * term
         return out
 
-    def generator_indices(self, mask: int, q: int) -> list[BasisIndex]:
-        """Spread classes of the generators of the monomial (mask, q), in
-        the written order."""
-        return [self._spread_idx[i - 1] for i in _indices(mask)] + [self._eta_idx] * q
+    def generator_indices(self, mask: int, q: int) -> list[int]:
+        """Basis positions of the spread classes of the generators of the
+        monomial (mask, q), in the written order."""
+        return [self._spread[i - 1] for i in _indices(mask)] + [self._eta] * q
 
-    def times(self, vec: dict[BasisIndex, int],
-              gens: list[BasisIndex]) -> dict[BasisIndex, int]:
+    def times(self, vec: dict[int, int], gens: list[int]) -> dict[int, int]:
         """Basis coordinates of vec multiplied on the right by the spread
-        classes ``gens`` in turn."""
+        classes at positions ``gens`` in turn."""
         for gen in gens:
-            out: dict[BasisIndex, int] = {}
+            out: dict[int, int] = {}
             for k, c in vec.items():
                 product = self._products.get((k, gen))
                 if product is None:
@@ -129,26 +130,26 @@ class SurfacePowerMap:
             vec = out
         return vec
 
-    def _image(self, mask: int, q: int) -> dict[BasisIndex, int]:
+    def _image(self, mask: int, q: int) -> dict[int, int]:
         # the stored image of the monomial (mask, q), built from its
         # prefix's on a miss; the unit's is stored from the start
         vec = self._images.get((mask, q))
         if vec is None:
             if q:
-                prefix, gen = (mask, q - 1), self._eta_idx
+                prefix, gen = (mask, q - 1), self._eta
             else:
                 top = mask.bit_length() - 1
-                prefix, gen = (mask ^ 1 << top, 0), self._spread_idx[top]
+                prefix, gen = (mask ^ 1 << top, 0), self._spread[top]
             vec = self._images[(mask, q)] = self.times(self._image(*prefix), [gen])
         return vec
 
-    def row_coordinates(self, row: lattice.SparseRow, d: int) -> dict[BasisIndex, int]:
+    def row_coordinates(self, row: lattice.SparseRow, d: int) -> dict[int, int]:
         """Basis coordinates of the image of the degree-d polynomial whose
         row, keyed by `quotient._mask(t, g)` as `GeneratorSet.rows()` keys
         it, is ``row``: a mask's set bits are its exterior generators, and
         q = (d - popcount) / 2.  A monomial m is the row {mask: 1}.  Empty
         iff the image is zero."""
-        out: dict[BasisIndex, int] = {}
+        out: dict[int, int] = {}
         for t, c in row.items():
             if t >> 2 * self.g:
                 raise ValueError(f"mask {t:#x} has a bit past x'{self.g}")
@@ -156,15 +157,11 @@ class SurfacePowerMap:
         return out
 
     @cached_property
-    def positions(self) -> dict[int, dict[BasisIndex, int]]:
-        """Degree -> {basis index: its place in that degree's basis}."""
-        out: dict[int, dict[BasisIndex, int]] = {}
-        # enumerate_basis sorts by degree first, so each degree's indices
-        # come in the order enumerate_basis(..., degree=s) gives them
-        for idx in self._basis:
-            pos = out.setdefault(idx.degree(self.ring), {})
-            pos[idx] = len(pos)
-        return out
+    def _spans(self) -> dict[int, range]:
+        """Degree d -> the positions of its classes, which come in the
+        order enumerate_basis(..., degree=d) gives them."""
+        degrees = [idx.degree(self.ring) for idx in self._basis]
+        return {d: range(bisect_left(degrees, d), bisect_right(degrees, d)) for d in set(degrees)}
 
     def coordinates(self, m: Monomial, degree: int) -> list[int]:
         """Integer coordinates of the image of the degree-``degree``
@@ -172,10 +169,12 @@ class SurfacePowerMap:
         read from the stored image."""
         if m.max_index > self.g:
             raise ValueError(f"variable index {m.max_index} exceeds g={self.g}")
-        pos = self.positions.get(degree, {})
-        vec = [0] * len(pos)
-        for idx, c in self._image(_mask(m, self.g), m.q).items():
-            vec[pos[idx]] = c
+        if m.degree != degree:
+            raise ValueError(f"monomial of degree {m.degree} read in degree {degree}")
+        span = self._spans.get(degree, range(0))
+        vec = [0] * len(span)
+        for k, c in self._image(_mask(m, self.g), m.q).items():
+            vec[k - span.start] = c
         return vec
 
 
@@ -193,7 +192,7 @@ def bridge_degree(g: int, n: int, s: int) -> DegreeMatrix:
         return DegreeMatrix(0, 1, 1, [[1]], True, [1])
     fmap = surface_power_map(g, n)
     monos = quotient_basis(g, n, s)
-    tensor_rank = len(fmap.positions.get(s, {}))
+    tensor_rank = len(fmap._spans.get(s, ()))
     matrix = [fmap.coordinates(m, s) for m in monos]
     smith = lattice.smith(matrix)
     # a square matrix is unimodular exactly when its Smith invariants are all 1

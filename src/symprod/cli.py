@@ -109,13 +109,13 @@ def table_json(table) -> str:
 
     Each label is quoted once, and so is the tail of its ``"gen"`` item;
     each product entry is one piece, written from ``table.rows`` with its
-    left and right factors' parts read by basis position.  A
+    factors' and its result's parts read by basis position.  A
     graded-commutative table shares one result dict between (i, j) and
     (j, i), and that dict is sorted and written once.
     """
     head, labels, in_order = table_layout(table)
-    quoted = [encode_basestring_ascii(labels[idx]) for idx in table.basis]
-    tails = {idx: f',\n          "gen": {q}\n        }}' for idx, q in zip(table.basis, quoted)}
+    quoted = [encode_basestring_ascii(label) for label in labels]
+    tails = [f',\n          "gen": {q}\n        }}' for q in quoted]
     lefts = [f'{{\n      "left": {q},\n      "result": ' for q in quoted]
     rights = [f',\n      "right": {q}\n    }}' for q in quoted]
     results: dict[int, str] = {}  # by id of a result dict the table holds

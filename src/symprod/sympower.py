@@ -35,8 +35,8 @@ class NotSymmetricError(ValueError):
 
 
 class InternalInconsistencyError(RuntimeError):
-    """The expansion hit a tensor no symmetric element can contain; this
-    signals a sign bug upstream, not bad input."""
+    """An expansion or a product reached a tensor or a class that cannot
+    occur there; this signals a bug upstream, not bad input."""
 
 
 class TheoremViolationError(RuntimeError):
@@ -63,12 +63,6 @@ class BasisIndex:
             raise ValueError(f"even positions must strictly increase: {self.even}")
         if any(m < 1 for _, m in self.even) or self.pad < 0:
             raise ValueError("multiplicities must be >= 1 and pad >= 0")
-        # indices key every table, orbit and label cache: hash them once,
-        # to the value the generated __hash__ would give
-        object.__setattr__(self, "_hash", hash((self.odd, self.even, self.pad)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def arity(self) -> int:
@@ -238,11 +232,14 @@ def chi(ring: Ring, n: int, odds, evens) -> TensorElement:
 
 
 class IndexProduct:
-    """Exact integer product of two basis indices, in basis coordinates.
+    """Exact integer product of two basis classes, in basis coordinates.
 
-    Calling ``IndexProduct(ring)(i, j)`` gives the coordinates of
-    realize(i) * realize(j), ordered by sorted slot tuple, as ``expand``
-    orders them; ``row(i, js)`` gives them for every j in js at once.
+    The kernel is built on a list ``basis`` of indices and speaks only
+    positions in it: ``IndexProduct(ring, basis)(a, b)`` gives the
+    coordinates of realize(basis[a]) * realize(basis[b]) as {position:
+    coefficient}, ordered by sorted slot tuple, as ``expand`` orders them;
+    ``row(a, bs)`` gives them for every b in bs at once.  A product term
+    whose class is not in ``basis`` raises ``InternalInconsistencyError``.
     With e_i the sorted elementary tensor of i, the realization of i is
     (1/pad_i!) times the sum of e_i acted on by every permutation, and the
     product is equivariant, so the product is (1/pad_i!) times the sum over
@@ -265,17 +262,15 @@ class IndexProduct:
     Each right index's signed arrangements are enumerated once, with the
     odd positions of each; the sign a left index's odd slots put on them
     is read off those positions.  The slot-product table, the orbits, the
-    sorted forms and each result key's index and pad_k! are cached per
-    instance, and ``row`` reads i's slots and slot-product rows once for
-    all of js.  A term is stepped as one (slots, coefficient) pair until a
-    slot product has more than one term.  A result is keyed by the index
-    of ``basis`` with its sorted slots when there is one, so a consumer
-    that passes its basis objects finds every result key among them by
-    identity; other keys are built from the slots.
+    sorted forms and each class's position and pad_k! by its sorted slots
+    are cached per instance, and ``row`` reads i's slots and slot-product
+    rows once for all of bs.  A term is stepped as one (slots, coefficient)
+    pair until a slot product has more than one term.
     """
 
-    def __init__(self, ring: Ring, basis=()):
+    def __init__(self, ring: Ring, basis):
         self.ring = ring
+        self._basis = basis
         slots = range(ring.unit_slot + 1)
         self._odd = ring.odd_flags
         # The product of tensors is equivariant only if products of
@@ -291,30 +286,33 @@ class IndexProduct:
                      for a in slots]
         # j -> (arity, blocks (b[0], [(b[1:], coeff), ...]), the odd
         # positions of each b as a bit mask, block by block)
-        self._arrangements: dict[BasisIndex, tuple[int, list, list]] = {}
+        self._arrangements: dict[int, tuple[int, list, list]] = {}
         # (arity, flips) -> j -> blocks (b[0], [(b[1:], signed coeff), ...])
-        self._orbits: dict[tuple[int, int], dict[BasisIndex, list]] = {}
+        self._orbits: dict[tuple[int, int], dict[int, list]] = {}
         self._sorted: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        self._indices: dict[tuple[int, ...], tuple[BasisIndex, int]] = {
-            idx.sorted_slots(ring): (idx, factorial(idx.pad)) for idx in basis}
+        # sorted slots -> (position, pad!)
+        self._indices: dict[tuple[int, ...], tuple[int, int]] = {
+            idx.sorted_slots(ring): (k, factorial(idx.pad)) for k, idx in enumerate(basis)}
 
-    def __call__(self, i: BasisIndex, j: BasisIndex) -> dict[BasisIndex, int]:
-        return self.row(i, [j])[0]
+    def __call__(self, a: int, b: int) -> dict[int, int]:
+        return self.row(a, [b])[0]
 
-    def row(self, i: BasisIndex, js) -> list[dict[BasisIndex, int]]:
-        """The products i * j for each j in js, in order."""
-        a = i.sorted_slots(self.ring)
-        first, *rest = [self._mul[s] for s in a]
+    def row(self, a: int, bs) -> list[dict[int, int]]:
+        """The products basis[a] * basis[b] for each b in bs, in order."""
+        i = self._basis[a]
+        slots_i = i.sorted_slots(self.ring)
+        first, *rest = [self._mul[s] for s in slots_i]
         den = factorial(i.pad)
         # i's odd slots come first: the arrangements of j with an odd
         # number of odd slots at these positions change sign (see _orbit)
         flips = sum(1 << p for p in range(len(i.odd) - 2, -1, -2))
         # an orbit is kept for the arity it was checked against
-        orbits = self._orbits.setdefault((len(a), flips), {})
+        orbits = self._orbits.setdefault((len(slots_i), flips), {})
         known = self._sorted
+        indices = self._indices
         out = []
-        for j in js:
-            blocks = orbits.get(j) or self._orbit(j, len(a), flips)
+        for b in bs:
+            blocks = orbits.get(b) or self._orbit(b, len(slots_i), flips)
             acc: dict[tuple[int, ...], int] = {}
             for b0, block in blocks:
                 head = first[b0]
@@ -348,20 +346,26 @@ class IndexProduct:
                 total = acc[key]
                 if not total:
                     continue
-                k, pad_factorial = self._index(key)
+                if (hit := indices.get(key)) is None:
+                    raise InternalInconsistencyError(
+                        f"{self._names(a, b)} has a term {[self.ring.slot_name(s) for s in key]} "
+                        "outside the kernel's basis")
+                k, pad_factorial = hit
                 num = pad_factorial * total
                 c, rem = divmod(num, den)
                 if rem:
-                    ring = self.ring
                     raise TheoremViolationError(
                         f"non-integer structure constant {Fraction(num, den)} in "
-                        f"{i.label(ring)} * {j.label(ring)} at {k.label(ring)}")
+                        f"{self._names(a, b)} at {self._basis[k].label(self.ring)}")
                 result[k] = c
             out.append(result)
         return out
 
-    def _orbit(self, j: BasisIndex, arity: int, flips: int) -> list[tuple[int, list]]:
-        """The terms b of realize(j), with integer coefficients times the
+    def _names(self, a: int, b: int) -> str:
+        return f"{self._basis[a].label(self.ring)} * {self._basis[b].label(self.ring)}"
+
+    def _orbit(self, j: int, arity: int, flips: int) -> list[tuple[int, list]]:
+        """The terms b of realize(basis[j]), with integer coefficients times the
         interchange sign of e * b for an e of the given arity whose first
         L slots are its odd ones: (-1)^(sum over p < q of |b_p| |e_q|)
         counts, for each odd b_p with p < L - 1, the L - 1 - p odd slots
@@ -377,9 +381,10 @@ class IndexProduct:
         cache that ``row`` reads."""
         hit = self._arrangements.get(j)
         if hit is None:
-            lead = j.leading_multiplier
+            idx = self._basis[j]
+            lead = idx.leading_multiplier
             odd = self._odd
-            slots = j.sorted_slots(self.ring)
+            slots = idx.sorted_slots(self.ring)
             blocks, odd_at = [], []
             for b, sign in signed_arrangements(self.ring, slots):
                 if not blocks or blocks[-1][0] != b[0]:
@@ -391,7 +396,7 @@ class IndexProduct:
         width, blocks, odd_at = hit
         if width != arity:
             raise ValueError(f"index arities differ: {arity} vs {width}")
-        if flips and j.odd:
+        if flips and self._basis[j].odd:
             blocks = [(b0, [(tail, -c if (at & flips).bit_count() % 2 else c)
                             for (tail, c), at in zip(block, ats)])
                       for (b0, block), ats in zip(blocks, odd_at)]
@@ -405,14 +410,6 @@ class IndexProduct:
         hit = self._sorted[slots] = (key, 0 if has_repeated_odd(self.ring, key) else sign)
         return hit
 
-    def _index(self, key: tuple[int, ...]) -> tuple[BasisIndex, int]:
-        """The index with sorted slots ``key``, and pad_k!."""
-        hit = self._indices.get(key)
-        if hit is None:
-            idx = index_from_sorted_slots(self.ring, key)
-            hit = self._indices[key] = (idx, factorial(idx.pad))
-        return hit
-
 
 class StructureTable:
     """Integer multiplication table over the basis, truncated by degree.
@@ -422,9 +419,10 @@ class StructureTable:
     ring's generators commute up to the Koszul sign, so does the invariant
     subring (the paper's Theorem 1), and each unordered pair is multiplied
     once: ``rows[a][b]`` (b < a) is ``rows[b][a]`` itself, or its negation
-    when |a||b| is odd.  Otherwise both orders are computed.  ``entries``
-    is a view keyed by basis pairs, built on first read.  Generator
-    products that do not add degrees raise ``RingSpecError``.
+    when |a||b| is odd.  Otherwise both orders are computed.  A result is
+    keyed by basis position, as the kernel keys it; ``product(i, j)``
+    reads one by basis index.  Generator products that do not add degrees
+    raise ``RingSpecError``.
     """
 
     def __init__(self, ring: Ring, n: int, max_degree: int):
@@ -435,8 +433,6 @@ class StructureTable:
         self.max_degree = max_degree
         self.basis = basis = [idx for idx in enumerate_basis(ring, n)
                               if idx.degree(ring) <= max_degree]
-        # results keyed by the basis objects themselves: the writers look
-        # each key up in dicts keyed by the basis, and hit on identity
         product = IndexProduct(ring, basis)
         # after the kernel's own check: a spec breaking parity is named so
         if violations := ring.degree_violations():
@@ -445,21 +441,24 @@ class StructureTable:
         mirror = not ring.commutativity_violations()
         degrees = [idx.degree(ring) for idx in basis]
         self.rows = rows = []
-        for a, (i, di) in enumerate(zip(basis, degrees)):
+        for a, di in enumerate(degrees):
             stop = bisect_right(degrees, max_degree - di)
             start = min(a, stop) if mirror else 0
             # the mirrored half from the earlier rows, then one kernel row
             rows.append([rows[b][a] if di * degrees[b] % 2 == 0
                          else {k: -c for k, c in rows[b][a].items()}
                          for b in range(start)]
-                        + product.row(i, basis[start:stop]))
+                        + product.row(a, range(start, stop)))
 
     @cached_property
-    def entries(self) -> dict[tuple[BasisIndex, BasisIndex], dict[BasisIndex, int]]:
-        return {(i, j): e for i, row in zip(self.basis, self.rows) for j, e in zip(self.basis, row)}
+    def _positions(self) -> dict[BasisIndex, int]:
+        return {idx: a for a, idx in enumerate(self.basis)}
 
     def product(self, i: BasisIndex, j: BasisIndex) -> dict[BasisIndex, int]:
-        return self.entries[(i, j)]
+        """i * j for basis indices i and j, keyed by basis index in the
+        kernel's order."""
+        basis, positions = self.basis, self._positions
+        return {basis[k]: c for k, c in self.rows[positions[i]][positions[j]].items()}
 
     def __eq__(self, other):
         if not isinstance(other, StructureTable):
@@ -467,7 +466,7 @@ class StructureTable:
         return (self.ring == other.ring and self.n == other.n
                 and self.max_degree == other.max_degree
                 and self.basis == other.basis
-                and self.entries == other.entries)
+                and self.rows == other.rows)
 
 
 def structure_constants(ring: Ring, n: int, up_to_degree: int) -> StructureTable:
@@ -491,34 +490,32 @@ def index_to_dict(ring: Ring, idx: BasisIndex) -> dict:
 
 def table_layout(table: StructureTable):
     """What a written table is made of, decided in one place for every
-    writer: the document without its products, each basis class's label,
-    and a function listing an entry's items in written order (a stable
-    sort on the label).  A label is a generator's name in the written
-    table, so two classes with one label raise ``RingSpecError``.
+    writer: the document without its products, each basis class's label
+    by position, and a function listing an entry's items in written order
+    (a stable sort on the label).  A label is a generator's name in the
+    written table, so two classes with one label raise ``RingSpecError``.
     """
-    ring = table.ring
-    labels: dict[BasisIndex, str] = {}
-    owner: dict[str, BasisIndex] = {}
-    for idx in table.basis:
-        label = labels[idx] = idx.label(ring)
-        first = owner.setdefault(label, idx)
-        if first is not idx:
+    ring, basis = table.ring, table.basis
+    labels = [idx.label(ring) for idx in basis]
+    owner: dict[str, int] = {}
+    for a, label in enumerate(labels):
+        if (first := owner.setdefault(label, a)) != a:
             raise RingSpecError(
-                f"basis classes {index_to_dict(ring, first)} and "
-                f"{index_to_dict(ring, idx)} have the same label {label!r}; "
+                f"basis classes {index_to_dict(ring, basis[first])} and "
+                f"{index_to_dict(ring, basis[a])} have the same label {label!r}; "
                 "rename a generator")
     head = {
         "name": f"sym{table.n}_{ring.name or 'ring'}",
         "n": table.n,
         "max_degree": table.max_degree,
         "generators": [
-            {"name": labels[idx], "degree": idx.degree(ring),
+            {"name": label, "degree": idx.degree(ring),
              "index": index_to_dict(ring, idx)}
-            for idx in table.basis
+            for label, idx in zip(labels, basis)
         ],
     }
 
-    def in_order(entry: dict[BasisIndex, int]) -> list[tuple[BasisIndex, int]]:
+    def in_order(entry: dict[int, int]) -> list[tuple[int, int]]:
         return sorted(entry.items(), key=lambda kv: labels[kv[0]])
 
     return head, labels, in_order
@@ -527,9 +524,10 @@ def table_layout(table: StructureTable):
 def table_to_dict(table: StructureTable) -> dict:
     doc, labels, in_order = table_layout(table)
     doc["products"] = [
-        {"left": labels[i],
-         "right": labels[j],
+        {"left": left,
+         "right": right,
          "result": [{"gen": labels[k], "coeff": c} for k, c in in_order(entry)]}
-        for (i, j), entry in table.entries.items()
+        for left, row in zip(labels, table.rows)
+        for right, entry in zip(labels, row)
     ]
     return doc

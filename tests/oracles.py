@@ -1,9 +1,10 @@
 """Test-side readers and cross-checks that no program path runs: reading
-a written structure table or bridge report back into its object,
-expanding an invariant tensor by dual pairings instead of elimination, and
-the integer orbit kernel without its fast path.
-`test_sympower.py`, `test_cli.py`, `test_bridge.py` and `test_kernel.py`
-import them."""
+a written structure table or bridge report back into its object, a
+table's products keyed by basis index pairs, expanding an invariant tensor
+by dual pairings instead of elimination, and the integer orbit kernel
+without its fast path.
+`test_sympower.py`, `test_cli.py`, `test_bridge.py`, `test_kernel.py` and
+`test_acceptance.py` import them."""
 
 from fractions import Fraction
 from math import factorial
@@ -49,22 +50,31 @@ def index_from_dict(ring: Ring, doc: dict) -> BasisIndex:
 
 
 def table_from_dict(ring: Ring, doc: dict) -> StructureTable:
+    """The table a written document holds, its rows by basis position.
+    The products are written row by row, each row's partners in basis
+    order, so each one continues its left factor's row."""
     table = StructureTable.__new__(StructureTable)
     table.ring = ring
     table.n = int(doc["n"])
     table.max_degree = int(doc["max_degree"])
-    by_label = {}
-    basis = []
-    for item in doc["generators"]:
-        idx = index_from_dict(ring, item["index"])
-        by_label[item["name"]] = idx
-        basis.append(idx)
-    table.basis = basis
-    table.entries = {}
+    table.basis = [index_from_dict(ring, item["index"]) for item in doc["generators"]]
+    position = {item["name"]: a for a, item in enumerate(doc["generators"])}
+    table.rows = [[] for _ in table.basis]
     for item in doc["products"]:
-        entry = {by_label[t["gen"]]: int(t["coeff"]) for t in item["result"]}
-        table.entries[(by_label[item["left"]], by_label[item["right"]])] = entry
+        row = table.rows[position[item["left"]]]
+        if position[item["right"]] != len(row):
+            raise ValueError(f"product {item['left']} * {item['right']} out of row order")
+        row.append({position[t["gen"]]: int(t["coeff"]) for t in item["result"]})
     return table
+
+
+def table_entries(table: StructureTable) -> dict[tuple[BasisIndex, BasisIndex],
+                                                 dict[BasisIndex, int]]:
+    """Every product of the table keyed by its (left, right) basis
+    indices, row by row, each result keyed by basis index in its order."""
+    basis = table.basis
+    return {(basis[a], basis[b]): {basis[k]: c for k, c in entry.items()}
+            for a, row in enumerate(table.rows) for b, entry in enumerate(row)}
 
 
 def report_from_dict(doc: dict) -> BridgeReport:

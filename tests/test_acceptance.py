@@ -94,8 +94,9 @@ def test_criterion_5_integrality():
     with criterion(5, "integral structure constants"):
         for g, n in GRID:
             table = structure_constants(fixtures.surface_ring(g), n, 2 * n)
-            for entry in table.entries.values():
-                assert all(isinstance(c, int) for c in entry.values())
+            for row in table.rows:
+                for entry in row:
+                    assert all(isinstance(c, int) for c in entry.values())
         for n in range(2, 6):
             structure_constants(fixtures.load_fixture("sphere2"), n, 2 * n)
             for k in (1, 2, 3):

@@ -156,8 +156,8 @@ def test_one_map_per_run_images_each_monomial_once(monkeypatch, g, n, steps):
     # a stored image is its prefix's times one spread class: one chain step
     # per monomial imaged, plus the steps of the spot check's continued
     # chains (chaining every image from the unit took 298, 992, 1335 and
-    # 411 steps); and every kernel result is one of the map's basis
-    # objects, so no index is rebuilt from its slots
+    # 411 steps); and every kernel result is keyed by a position in the
+    # map's basis, so no index is rebuilt from its slots
     calls = {"steps": 0, "from_slots": 0}
     times, from_slots = SurfacePowerMap.times, sympower.index_from_sorted_slots
 
@@ -180,7 +180,8 @@ def test_one_map_per_run_images_each_monomial_once(monkeypatch, g, n, steps):
 @pytest.mark.parametrize("g,n", [(g, n) for g in (1, 2, 3) for n in (2, 3, 4)])
 def test_stored_images_equal_chains_from_the_unit(g, n):
     fmap = SurfacePowerMap(g, n)
-    unit = BasisIndex((), (), n)
+    unit = fmap._basis.index(BasisIndex((), (), n))
+    assert unit == 0
     for s in range(2 * n + 1):
         for m in monomials_of_degree(g, s):
             got = fmap.row_coordinates({_mask(m, g): 1}, s)
@@ -220,7 +221,7 @@ def _valid_modes():
 def chained_coordinates(fmap, p):
     """Basis coordinates of image(p), each term's chain of spread classes
     multiplied out from the unit, with no stored image read."""
-    unit = BasisIndex((), (), fmap.n)
+    unit = fmap._basis.index(BasisIndex((), (), fmap.n))
     out = {}
     for m, c in p.terms.items():
         chain = fmap.times({unit: 1}, fmap.generator_indices(_mask(m, fmap.g), m.q))
@@ -299,3 +300,13 @@ def test_coordinates_reject_an_index_past_g():
         fmap.coordinates(Monomial((3,), (), 0), 1)
     with pytest.raises(ValueError, match="past x'2"):
         fmap.row_coordinates({1 << 4: 1}, 1)
+
+
+def test_coordinates_reject_a_monomial_of_another_degree():
+    # a row is read by its degree's positions in the map's basis, so a
+    # monomial of another degree would land at positions of the wrong row
+    fmap = SurfacePowerMap(2, 3)
+    assert fmap.coordinates(Monomial((1,), (), 0), 1) == [1, 0, 0, 0]
+    with pytest.raises(ValueError, match="degree 1 read in degree 2"):
+        fmap.coordinates(Monomial((1,), (), 0), 2)
+    assert fmap.coordinates(Monomial((), (), 0), 0) == [1]

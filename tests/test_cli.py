@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from symprod.cli import json_text, main, table_json
 from symprod.fixtures import load_fixture, packaged_fixture_dir, resolve_spec_path
 from symprod.rings import Generator, Ring, RingSpecError, load_ring, ring_from_dict
-from symprod.sympower import StructureTable, structure_constants, table_to_dict
+from symprod.sympower import structure_constants, table_to_dict
 from oracles import table_from_dict
 from query_references import build_parser_reference, relations_doc_reference
 from test_kernel import NONCOMMUTATIVE_TORUS
@@ -280,19 +280,23 @@ def test_failed_certificate_exit_code(capsys, monkeypatch):
 
 
 def test_internal_inconsistency_exit_code(capsys, monkeypatch):
-    from symprod.sympower import InternalInconsistencyError
+    from symprod.sympower import IndexProduct
 
-    # the kernel's lookup of a result index; a table's results are its own
-    # basis objects, so `index_from_sorted_slots` is not reached
-    def broken(product, slots):
-        raise InternalInconsistencyError(f"odd generator repeated in {slots}")
+    # the kernel's lookup of a result's basis position by its sorted
+    # slots, emptied: the first nonzero product names a class outside the
+    # kernel's basis
+    init = IndexProduct.__init__
 
-    monkeypatch.setattr("symprod.sympower.IndexProduct._index", broken)
+    def forgetful(product, ring, basis):
+        init(product, ring, basis)
+        product._indices.clear()
+
+    monkeypatch.setattr(IndexProduct, "__init__", forgetful)
     code, _, err = run(capsys, "sym-table", "torus.ring", "--n", "2",
                        "--max-degree", "4")
     assert code == 3
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("internal inconsistency: odd generator repeated")
+    assert err.startswith("internal inconsistency: chi[a1] * chi[a2] has a term")
 
 
 def test_quotient_invariant_exit_code(capsys, monkeypatch):
@@ -555,34 +559,42 @@ def test_table_json_equals_json_dumps_on_fixtures(spec, monkeypatch):
 def test_table_json_of_a_table_that_shares_no_entry(monkeypatch):
     # both orders are multiplied, so every (i, j) has its own result dict
     table = structure_constants(NONCOMMUTATIVE_TORUS, 3, 6)
-    assert len({id(e) for e in table.entries.values()}) == len(table.entries)
+    entries = [entry for row in table.rows for entry in row]
+    assert len({id(e) for e in entries}) == len(entries)
     assert_table_json_is_json_dumps(table, monkeypatch)
 
 
-def refusing_entries(table):
-    raise AssertionError("StructureTable.entries read")
-
-
-def test_sym_table_json_builds_no_entries_view(capsys, monkeypatch):
-    # the JSON writer reads the rows; the (i, j)-keyed view is never built
+def test_sym_table_json_builds_no_entries_view(capsys):
+    # both writers read the rows by basis position; there is no view
+    # keyed by basis pairs to build
     ring = load_ring(resolve_spec_path("surface_g2.ring"))
     tables = [structure_constants(ring, 4, 8), structure_constants(NONCOMMUTATIVE_TORUS, 3, 6)]
     wants = [json.dumps(table_to_dict(table), indent=2, sort_keys=True) for table in tables]
-    for table in tables:
-        del table.entries  # built by table_to_dict above
-    with monkeypatch.context() as patch:
-        patch.setattr(StructureTable, "entries", property(refusing_entries))
-        code, out, _ = run(capsys, "sym-table", "surface_g2.ring", "--n", "4",
-                           "--max-degree", "8", "--format", "json")
-        gots = [table_json(table) for table in tables]
+    code, out, _ = run(capsys, "sym-table", "surface_g2.ring", "--n", "4",
+                       "--max-degree", "8", "--format", "json")
+    gots = [table_json(table) for table in tables]
     assert (code, out) == (0, wants[0] + "\n")
     assert gots == wants
-    assert all("entries" not in vars(table) for table in tables)
+    assert not any(hasattr(table, "entries") for table in tables)
+
+
+@pytest.mark.parametrize("spec", [path.name for path in SHIPPED] + ["noncommutative_torus"])
+def test_table_read_back_is_written_again_by_both_writers(spec):
+    # a table read back from its document holds rows by position, as a
+    # computed one does, and both writers give the document's bytes again
+    ring = (NONCOMMUTATIVE_TORUS if spec == "noncommutative_torus"
+            else load_ring(resolve_spec_path(spec)))
+    for n in (2, 3, 4):
+        table = structure_constants(ring, n, 6)
+        again = table_from_dict(ring, table_to_dict(table))
+        assert again == table
+        assert table_json(again) == table_json(table)
+        assert table_to_dict(again) == table_to_dict(table)
 
 
 def test_table_json_of_an_empty_table(capsys, monkeypatch):
     table = structure_constants(load_ring(resolve_spec_path("torus.ring")), 2, 0)
-    assert table.basis == [] and table.entries == {}
+    assert table.basis == [] and table.rows == []
     assert_table_json_is_json_dumps(table, monkeypatch)
     code, out, _ = run(capsys, "sym-table", "torus.ring", "--n", "2",
                        "--max-degree", "0", "--format", "json")
@@ -595,7 +607,7 @@ def test_table_json_escapes_names(monkeypatch):
                 {(odd1, odd2): {even: 1}, (odd2, odd1): {even: -1}},
                 name='t "\\ \u00e9')
     table = structure_constants(ring, 3, 6)
-    assert table.entries
+    assert any(table.rows)
     assert_table_json_is_json_dumps(table, monkeypatch)
 
 

@@ -5,7 +5,9 @@ expands the product greedily (``realize``, ``tensor_multiply``,
 ``expand``); the kernel must reproduce it exactly, entry order included.
 The reference is the kernel without its first-slot blocks and rows
 (``oracles.IndexProductReference``); the kernel must give its dicts too,
-key order included, on the same inputs and at larger sizes.
+key order included, on the same inputs and at larger sizes.  The kernel
+keys a result by position in its basis, and the oracles by basis index:
+``oracles.table_entries`` maps a table's rows back through its basis.
 """
 
 import itertools
@@ -15,7 +17,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import IndexProductReference
+from oracles import IndexProductReference, table_entries
 
 from symprod import fixtures, sympower
 from symprod.bridge import SurfacePowerMap
@@ -24,6 +26,7 @@ from symprod.quotient import Monomial, Polynomial, _mask, monomials_of_degree, q
 from symprod.rings import Generator, Ring, ring_from_dict
 from symprod.sympower import (
     IndexProduct,
+    InternalInconsistencyError,
     NotSymmetricError,
     TheoremViolationError,
     enumerate_basis,
@@ -57,7 +60,7 @@ def assert_same_entries(got, want):
 
 def assert_same_table(ring, n, max_degree):
     table = structure_constants(ring, n, max_degree)
-    assert_same_entries(table.entries, oracle_entries(ring, n, max_degree))
+    assert_same_entries(table_entries(table), oracle_entries(ring, n, max_degree))
     assert_matches_reference(table)
 
 
@@ -65,8 +68,9 @@ def assert_matches_reference(table, pairs=None):
     """Every entry of the table (or those of ``pairs``) equals the
     reference kernel's product, key order included."""
     reference = IndexProductReference(table.ring)
-    pairs = list(table.entries) if pairs is None else pairs
-    assert_same_entries({key: table.entries[key] for key in pairs},
+    entries = table_entries(table)
+    pairs = list(entries) if pairs is None else pairs
+    assert_same_entries({key: entries[key] for key in pairs},
                         {(i, j): reference(i, j) for i, j in pairs})
 
 
@@ -116,7 +120,8 @@ def test_bridge_coordinates_equal_expanded_images(g, n):
         for m in quotient_basis(g, n, s):
             p = Polynomial.monomial(m)
             want = {k: int(c) for k, c in expand(fmap.image(p)).items()}
-            assert fmap.row_coordinates({_mask(m, g): 1}, s) == want, (m, s)
+            got = fmap.row_coordinates({_mask(m, g): 1}, s)
+            assert {fmap._basis[k]: c for k, c in got.items()} == want, (m, s)
             if s:
                 basis = enumerate_basis(fmap.ring, n, degree=s)
                 assert fmap.coordinates(m, s) == [want.get(k, 0) for k in basis]
@@ -124,9 +129,13 @@ def test_bridge_coordinates_equal_expanded_images(g, n):
 
 @pytest.mark.parametrize("g,n", [(g, n) for g in (1, 2, 3) for n in (2, 3, 4)])
 def test_surface_chains_equal_reference_chains(g, n):
-    # the bridge multiplies through ``__call__``, one product at a time
+    # the bridge multiplies through ``__call__``, one product at a time,
+    # by basis position; the reference's results are mapped to positions
     fmap, reference_map = SurfacePowerMap(g, n), SurfacePowerMap(g, n)
-    reference_map._kernel = IndexProductReference(reference_map.ring)
+    reference, basis = IndexProductReference(reference_map.ring), reference_map._basis
+    position = {idx: k for k, idx in enumerate(basis)}
+    reference_map._kernel = lambda a, b: {
+        position[k]: c for k, c in reference(basis[a], basis[b]).items()}
     for s in range(2 * n + 1):
         for m in monomials_of_degree(g, s):
             got = fmap.row_coordinates({_mask(m, g): 1}, s)
@@ -143,7 +152,7 @@ def test_pinned_tables_equal_reference(ring, n, max_degree):
     # is the other order of a pair checked here
     table = structure_constants(ring, n, max_degree)
     index = {idx: a for a, idx in enumerate(table.basis)}
-    assert_matches_reference(table, [(i, j) for i, j in table.entries
+    assert_matches_reference(table, [(i, j) for i, j in table_entries(table)
                                       if index[i] <= index[j]])
 
 
@@ -162,15 +171,15 @@ def test_chained_products_equal_tensor_products():
         want = {k: int(c) for k, c in expand(direct).items()}
         got = fmap.times(fmap.row_coordinates({_mask(m1, g): 1}, m1.degree),
                          fmap.generator_indices(_mask(m2, g), m2.q))
-        assert got == want, (m1, m2)
+        assert {fmap._basis[k]: c for k, c in got.items()} == want, (m1, m2)
 
 
 def test_spread_classes_are_basis_elements():
     fmap = SurfacePowerMap(2, 3)
 
     def spread(m):
-        [idx] = fmap.generator_indices(_mask(m, 2), m.q)
-        return realize(fmap.ring, idx)
+        [k] = fmap.generator_indices(_mask(m, 2), m.q)
+        return realize(fmap.ring, fmap._basis[k])
 
     def chi(name):
         return sym_element(fmap.ring, 3, [fmap.ring.gen(name)])
@@ -201,16 +210,28 @@ def test_kernel_rejects_products_breaking_degree_parity():
     with pytest.raises(NotSymmetricError):
         oracle_entries(ring, 2, 4)
     with pytest.raises(NotSymmetricError, match="wrong degree parity"):
-        IndexProduct(ring)
+        IndexProduct(ring, enumerate_basis(ring, 2))
 
 
 def test_kernel_rejects_arity_mismatch():
     ring = fixtures.surface_ring(1)
-    product = IndexProduct(ring)
-    i = enumerate_basis(ring, 2)[0]
-    j = enumerate_basis(ring, 3)[0]
-    with pytest.raises(ValueError):
-        product(i, j)
+    pairs, triples = enumerate_basis(ring, 2), enumerate_basis(ring, 3)
+    product = IndexProduct(ring, pairs + triples)
+    with pytest.raises(ValueError, match="arities differ"):
+        product(0, len(pairs))
+
+
+def test_product_outside_the_kernel_basis_is_an_internal_inconsistency():
+    # chi[a1] * chi[a2] in Sym^2 of the torus is chi[b] + chi[a1,a2], both
+    # of degree 2; a basis cut at degree 1 holds neither, and the kernel
+    # names the missing class instead of building it
+    ring = fixtures.surface_ring(1)
+    basis = enumerate_basis(ring, 2, degree=1)
+    product = IndexProduct(ring, basis)
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"chi\[a1\] \* chi\[a2\] has a term \['a1', 'a2'\] outside"):
+        product(0, 1)
+    assert product(0, 0) == {}
 
 
 # -- one product per unordered pair -------------------------------------------
@@ -235,7 +256,7 @@ def test_kernel_calls_per_table(monkeypatch, ring, n, max_degree, calls, entries
 
     monkeypatch.setattr(IndexProduct, "row", counting)
     table = structure_constants(ring, n, max_degree)
-    assert (counted, len(table.entries)) == (calls, entries)
+    assert (counted, sum(map(len, table.rows))) == (calls, entries)
 
 
 # -- the table by basis position -----------------------------------------------
@@ -266,12 +287,16 @@ def test_rows_hold_the_table_by_basis_position(ring, n, max_degree):
                     assert list(row[b]) == list(rows[b][a])
                 else:
                     assert row[b] is rows[b][a]
-    # the entries view is the same dicts, keyed by basis pair, row by row
-    assert list(table.entries.items()) == [
-        ((basis[a], basis[b]), entry) for a, row in enumerate(rows)
-        for b, entry in enumerate(row)]
-    assert all(table.entries[(basis[a], basis[b])] is entry
-               for a, row in enumerate(rows) for b, entry in enumerate(row))
+    # results are keyed by basis position; ``product`` reads the same
+    # entry by basis index, its keys mapped through the basis in order
+    assert all(0 <= k < len(basis) for row in rows for entry in row for k in entry)
+    for a, row in enumerate(rows):
+        for b, entry in enumerate(row):
+            got = table.product(basis[a], basis[b])
+            want = {basis[k]: c for k, c in entry.items()}
+            assert (got, list(got)) == (want, list(want))
+            assert all(got_key is basis[k] for got_key, k in zip(got, entry))
+    assert not hasattr(table, "entries")
 
 
 @pytest.mark.parametrize("ring,n,max_degree,enumerations", [

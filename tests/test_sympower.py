@@ -23,7 +23,7 @@ from symprod.sympower import (
 )
 from symprod.tensors import Perm, TensorElement, act, elementary, tensor_multiply
 
-from oracles import expand_via_pairing, index_from_dict, table_from_dict
+from oracles import expand_via_pairing, index_from_dict, table_entries, table_from_dict
 from test_rings import SHIPPED
 
 
@@ -346,18 +346,20 @@ def test_table_alternating_entry_surface_g2():
 
 
 def test_table_result_keys_are_the_basis_objects():
-    # every key of a result is one of the table's own basis indices, not
-    # an equal copy, so lookups by key stop at the identity check
+    # a stored result is keyed by basis position, and ``product`` maps each
+    # key to the table's own basis index, not an equal copy
     ring = fixtures.surface_ring(2)
     table = structure_constants(ring, 4, 8)
     members = {id(b) for b in table.basis}
-    keys = [k for entry in table.entries.values() for k in entry]
-    assert keys and all(id(k) in members for k in keys)
+    keys = [k for row in table.rows for entry in row for k in entry]
+    assert keys and all(type(k) is int and 0 <= k < len(table.basis) for k in keys)
+    products = table_entries(table)
+    assert all(id(k) in members for i, j in products for k in table.product(i, j))
 
 
 def test_table_graded_commutativity(torus):
     table = structure_constants(torus, 2, 4)
-    for (i, j), entry in table.entries.items():
+    for (i, j), entry in table_entries(table).items():
         di, dj = i.degree(torus), j.degree(torus)
         sign = -1 if (di % 2 and dj % 2) else 1
         mirrored = {k: sign * c for k, c in table.product(j, i).items()}
