@@ -12,7 +12,8 @@ Subcommands (each accepts --format text|json):
   bridge --g G --n N         degreewise change of basis between the two models
 
 Exit codes: 0 success, 1 standard output closed early (a broken pipe, as
-in ``symprod relations ... | head``), 2 malformed input, 3 violated theorem
+in ``symprod relations ... | head``), 2 malformed input (a spec that fails
+``validate``'s checks too, after its report), 3 violated theorem
 claim (non-integer structure constant, torsion, failed certificate) or
 internal inconsistency, 4 resource bound reached (partial bridge report).
 """
@@ -107,35 +108,59 @@ def table_json(table) -> str:
     """Exactly ``json_text(table_to_dict(table))``, written straight from
     the table.
 
-    Each label is quoted once, and so is the tail of its ``"gen"`` item;
-    each product entry is one piece, written from ``table.rows`` with its
-    factors' and its result's parts read by basis position.  A
+    Each label and generator name is quoted once, and so is the tail of
+    its ``"gen"`` item; the generators are written from the basis, and
+    the products as one list of pieces, each entry's left part, result
+    and right part read by basis position from ``table.rows``.  A
     graded-commutative table shares one result dict between (i, j) and
     (j, i), and that dict is sorted and written once.
     """
     head, labels, in_order = table_layout(table)
     quoted = [encode_basestring_ascii(label) for label in labels]
     tails = [f',\n          "gen": {q}\n        }}' for q in quoted]
-    lefts = [f'{{\n      "left": {q},\n      "result": ' for q in quoted]
+    # an entry's piece opens with the comma after the one before it; the
+    # first entry's comma becomes the list's bracket
+    lefts = [f',\n    {{\n      "left": {q},\n      "result": ' for q in quoted]
     rights = [f',\n      "right": {q}\n    }}' for q in quoted]
     results: dict[int, str] = {}  # by id of a result dict the table holds
-    products = []
+
+    def result(entry: dict[int, int]) -> str:
+        items = ",\n        ".join([f'{{\n          "coeff": {c}{tails[k]}'
+                                    for k, c in in_order(entry)])
+        text = results[id(entry)] = f"[\n        {items}\n      ]"
+        return text
+
+    out = ['{\n  "generators": ', _generators_json(table.ring, table.basis, quoted),
+           f',\n  "max_degree": {head["max_degree"]},\n  "n": {head["n"]},'
+           f'\n  "name": {encode_basestring_ascii(head["name"])},\n  "products": ']
+    start = len(out)
     for left, row in zip(lefts, table.rows):
         for entry, right in zip(row, rights):
-            if not entry:
-                result = "[]"
-            elif (result := results.get(id(entry))) is None:
-                items = ",\n        ".join([f'{{\n          "coeff": {c}{tails[k]}'
-                                            for k, c in in_order(entry)])
-                result = results[id(entry)] = f"[\n        {items}\n      ]"
-            products.append(f"{left}{result}{right}")
-    out = ['{\n  "generators": ']
-    _write_json(head["generators"], "  ", out)
-    out.append(f',\n  "max_degree": {head["max_degree"]},\n  "n": {head["n"]},'
-               f'\n  "name": {encode_basestring_ascii(head["name"])},\n  "products": ')
-    out.append("[\n    " + ",\n    ".join(products) + "\n  ]" if products else "[]")
-    out.append("\n}")
+            out += left, (results.get(id(entry)) or result(entry)) if entry else "[]", right
+    if len(out) > start:
+        out[start] = "[" + out[start][1:]
+        out.append("\n  ]\n}")
+    else:
+        out.append("[]\n}")
     return "".join(out)
+
+
+def _generators_json(ring, basis, quoted: list[str]) -> str:
+    """The table's ``"generators"`` list as ``_write_json`` writes it at
+    indent 2, read off the basis: each class's degree, index and quoted
+    label."""
+    names = [encode_basestring_ascii(ring.slot_name(p)) for p in range(ring.unit_slot)]
+    items = []
+    for q, idx in zip(quoted, basis):
+        odd = ("[\n          " + ",\n          ".join([names[p] for p in idx.odd])
+               + "\n        ]") if idx.odd else "[]"
+        even = ("[\n          " + ",\n          ".join(
+            [f"[\n            {names[p]},\n            {m}\n          ]" for p, m in idx.even])
+            + "\n        ]") if idx.even else "[]"
+        items.append(f'{{\n      "degree": {idx.degree(ring)},\n      "index": {{'
+                     f'\n        "even": {even},\n        "odd": {odd},'
+                     f'\n        "pad": {idx.pad}\n      }},\n      "name": {q}\n    }}')
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def _emit(args, text_fn, doc):
@@ -160,7 +185,7 @@ def cmd_validate(args) -> int:
                 print(f"  {v['invariant']} at {v['witness']}: {v['detail']}")
 
     _emit(args, text, doc)
-    return EXIT_OK
+    return EXIT_OK if report.ok else EXIT_PARSE
 
 
 def cmd_sym_basis(args) -> int:

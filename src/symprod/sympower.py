@@ -23,9 +23,7 @@ from math import factorial
 from .rings import Ring, RingSpecError, add_terms
 from .tensors import (
     TensorElement,
-    has_repeated_odd,
     signed_arrangements,
-    sorted_slots_with_sign,
     sym_element,
 )
 
@@ -259,13 +257,24 @@ class IndexProduct:
     first slot to zero is skipped whole.  The division by pad_i! is the
     integrality certificate.
 
+    A product is 0, with no orbit touched, when some slot of i multiplies
+    every slot of j to zero: each of its terms then has a zero factor.
+    When i has two unit slots or more, the arrangements b of j that agree
+    on i's other slots give one term each: the units copy b's slots, and
+    reordering them changes b's sign and the sign of sorting t alike, so
+    one b of each such run is walked, its coefficient times the run's
+    length.
+
     Each right index's signed arrangements are enumerated once, with the
     odd positions of each; the sign a left index's odd slots put on them
     is read off those positions.  The slot-product table, the orbits, the
     sorted forms and each class's position and pad_k! by its sorted slots
-    are cached per instance, and ``row`` reads i's slots and slot-product
-    rows once for all of bs.  A term is stepped as one (slots, coefficient)
-    pair until a slot product has more than one term.
+    are cached per instance, and so is each left class's set-up on its
+    first use: its arity, slot-product rows, pad_i!, the length of the
+    prefix that tells arrangements apart, flips, orbit cache and, for
+    each of its slots, the slots it multiplies to nonzero as a bit mask.
+    A term is stepped as one (slots, coefficient) pair until a slot
+    product has more than one term.
     """
 
     def __init__(self, ring: Ring, basis):
@@ -284,35 +293,47 @@ class IndexProduct:
                         "so products of invariant tensors are not invariant")
         self._mul = [[tuple(ring.gen_product(a, b).items()) for b in slots]
                      for a in slots]
-        # j -> (arity, blocks (b[0], [(b[1:], coeff), ...]), the odd
-        # positions of each b as a bit mask, block by block)
-        self._arrangements: dict[int, tuple[int, list, list]] = {}
-        # (arity, flips) -> j -> blocks (b[0], [(b[1:], signed coeff), ...])
+        # slot -> the slots it multiplies to nonzero, as a bit mask
+        self._partners = [sum(1 << b for b, combo in enumerate(row) if combo)
+                          for row in self._mul]
+        # a -> the left class's set-up (see _left)
+        self._lefts: dict[int, tuple] = {}
+        # j -> (blocks (b[0], [(b[1:], coeff), ...]), the odd positions of
+        # each b as a bit mask, block by block)
+        self._arrangements: dict[int, tuple[list, list]] = {}
+        # (prefix, flips) -> j -> blocks (b[0], [(b[1:], signed coeff),
+        # ...]), one b per run that agrees on b[:prefix]
         self._orbits: dict[tuple[int, int], dict[int, list]] = {}
         self._sorted: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         # sorted slots -> (position, pad!)
-        self._indices: dict[tuple[int, ...], tuple[int, int]] = {
-            idx.sorted_slots(ring): (k, factorial(idx.pad)) for k, idx in enumerate(basis)}
+        self._indices: dict[tuple[int, ...], tuple[int, int]] = {}
+        # position -> (arity, its slots as a bit mask)
+        self._rights: list[tuple[int, int]] = []
+        for k, idx in enumerate(basis):
+            key = idx.sorted_slots(ring)
+            self._indices[key] = (k, factorial(idx.pad))
+            self._rights.append((len(key), sum(1 << s for s in set(key))))
 
     def __call__(self, a: int, b: int) -> dict[int, int]:
         return self.row(a, [b])[0]
 
     def row(self, a: int, bs) -> list[dict[int, int]]:
         """The products basis[a] * basis[b] for each b in bs, in order."""
-        i = self._basis[a]
-        slots_i = i.sorted_slots(self.ring)
-        first, *rest = [self._mul[s] for s in slots_i]
-        den = factorial(i.pad)
-        # i's odd slots come first: the arrangements of j with an odd
-        # number of odd slots at these positions change sign (see _orbit)
-        flips = sum(1 << p for p in range(len(i.odd) - 2, -1, -2))
-        # an orbit is kept for the arity it was checked against
-        orbits = self._orbits.setdefault((len(slots_i), flips), {})
+        arity, first, rest, den, prefix, flips, orbits, partners = (
+            self._lefts.get(a) or self._left(a))
+        rights = self._rights
         known = self._sorted
         indices = self._indices
         out = []
         for b in bs:
-            blocks = orbits.get(b) or self._orbit(b, len(slots_i), flips)
+            width, mask = rights[b]
+            if width != arity:
+                raise ValueError(f"index arities differ: {arity} vs {width}")
+            if not all(map(mask.__and__, partners)):
+                # a slot of basis[a] multiplies every slot of basis[b] to 0
+                out.append({})
+                continue
+            blocks = orbits.get(b) or self._orbit(b, prefix, flips)
             acc: dict[tuple[int, ...], int] = {}
             for b0, block in blocks:
                 head = first[b0]
@@ -361,53 +382,92 @@ class IndexProduct:
             out.append(result)
         return out
 
+    def _left(self, a: int) -> tuple:
+        """basis[a]'s set-up for ``row``, built on its first use."""
+        i = self._basis[a]
+        slots = i.sorted_slots(self.ring)
+        first, *rest = [self._mul[s] for s in slots]
+        # i's odd slots come first: the arrangements of j with an odd
+        # number of odd slots at these positions change sign (see _orbit)
+        flips = sum(1 << p for p in range(len(i.odd) - 2, -1, -2))
+        # with two units or more, only the slots before them tell the
+        # arrangements of j apart (see _orbit)
+        prefix = len(slots) - i.pad if i.pad > 1 else len(slots)
+        orbits = self._orbits.setdefault((prefix, flips), {})
+        partners = tuple({self._partners[s] for s in slots})
+        hit = self._lefts[a] = (len(slots), first, rest, factorial(i.pad), prefix, flips,
+                                orbits, partners)
+        return hit
+
     def _names(self, a: int, b: int) -> str:
         return f"{self._basis[a].label(self.ring)} * {self._basis[b].label(self.ring)}"
 
-    def _orbit(self, j: int, arity: int, flips: int) -> list[tuple[int, list]]:
+    def _orbit(self, j: int, prefix: int, flips: int) -> list[tuple[int, list]]:
         """The terms b of realize(basis[j]), with integer coefficients times the
-        interchange sign of e * b for an e of the given arity whose first
-        L slots are its odd ones: (-1)^(sum over p < q of |b_p| |e_q|)
+        interchange sign of e * b for an e whose first L slots are its odd
+        ones: (-1)^(sum over p < q of |b_p| |e_q|)
         counts, for each odd b_p with p < L - 1, the L - 1 - p odd slots
         of e after position p, so it is the parity of the odd b_p at the
         positions p = L - 2, L - 4, ..., the bits set in ``flips``.  The
         terms come in lex order, so those sharing a first slot b[0] are
         contiguous; they are kept as blocks (b[0], [(b[1:], coeff), ...]).
+        The terms that agree on b[:prefix] are contiguous too, and when
+        ``prefix`` stops short of the last two slots, each run of them is
+        kept as its first term, its coefficient times the run's length.
 
-        j's arrangements are enumerated on its first miss and kept with the
-        odd positions of each b as a bit mask; unsigned, they are the orbit
-        for ``flips`` = 0 and for a j without odd slots.  A miss for other
-        flips reads the signs off the stored masks.  Built on a miss of the
-        cache that ``row`` reads."""
+        j's arrangements are enumerated on its first miss and kept, a j
+        with odd slots with the odd positions of each b as a bit mask;
+        unsigned, they are the orbit for ``flips`` = 0 and for a j without
+        odd slots.  A miss for other flips reads the signs off the stored
+        masks.  Built on a miss of the cache that ``row`` reads, after
+        ``row`` has checked the arity."""
         hit = self._arrangements.get(j)
         if hit is None:
             idx = self._basis[j]
             lead = idx.leading_multiplier
             odd = self._odd
-            slots = idx.sorted_slots(self.ring)
             blocks, odd_at = [], []
-            for b, sign in signed_arrangements(self.ring, slots):
+            for b, sign in signed_arrangements(self.ring, idx.sorted_slots(self.ring)):
                 if not blocks or blocks[-1][0] != b[0]:
                     blocks.append((b[0], []))
                     odd_at.append([])
                 blocks[-1][1].append((b[1:], lead * sign))
-                odd_at[-1].append(sum(1 << p for p, s in enumerate(b) if odd[s]))
-            hit = self._arrangements[j] = (len(slots), blocks, odd_at)
-        width, blocks, odd_at = hit
-        if width != arity:
-            raise ValueError(f"index arities differ: {arity} vs {width}")
+                if idx.odd:
+                    odd_at[-1].append(sum(1 << p for p, s in enumerate(b) if odd[s]))
+            hit = self._arrangements[j] = (blocks, odd_at)
+        blocks, odd_at = hit
         if flips and self._basis[j].odd:
             blocks = [(b0, [(tail, -c if (at & flips).bit_count() % 2 else c)
                             for (tail, c), at in zip(block, ats)])
                       for (b0, block), ats in zip(blocks, odd_at)]
-        self._orbits[(arity, flips)][j] = blocks
+        if prefix < self._rights[j][0] - 1:
+            # one term of each run that agrees on b[:prefix], times its length
+            cut = max(prefix - 1, 0)
+            blocks = [(b0, [(tail, c * (1 + len(others)))
+                            for _, ((tail, c), *others)
+                            in itertools.groupby(block, key=lambda term: term[0][:cut])])
+                      for b0, block in blocks]
+        self._orbits[(prefix, flips)][j] = blocks
         return blocks
 
     def _sort(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """Sorted slots and Koszul sign, the sign 0 if an odd slot repeats.
-        Computed on a miss of the cache that ``row`` reads."""
-        key, sign = sorted_slots_with_sign(self.ring, slots)
-        hit = self._sorted[slots] = (key, 0 if has_repeated_odd(self.ring, key) else sign)
+        """Sorted slots and Koszul sign, the sign 0 if an odd slot repeats,
+        read in one pass over the odd slots: the sign is the parity of
+        their inversions.  Computed on a miss of the cache that ``row``
+        reads."""
+        odd = self._odd
+        seen: list[int] = []
+        inversions = 0
+        for s in slots:
+            if odd[s]:
+                if s in seen:
+                    sign = 0
+                    break
+                inversions += sum(t > s for t in seen)
+                seen.append(s)
+        else:
+            sign = -1 if inversions & 1 else 1
+        hit = self._sorted[slots] = (tuple(sorted(slots)), sign)
         return hit
 
 
@@ -490,10 +550,12 @@ def index_to_dict(ring: Ring, idx: BasisIndex) -> dict:
 
 def table_layout(table: StructureTable):
     """What a written table is made of, decided in one place for every
-    writer: the document without its products, each basis class's label
-    by position, and a function listing an entry's items in written order
-    (a stable sort on the label).  A label is a generator's name in the
-    written table, so two classes with one label raise ``RingSpecError``.
+    writer: the document's name, n and max_degree, each basis class's
+    label by position, and a function listing an entry's items in written
+    order, by label.  A label is a generator's name in the written table,
+    so two classes with one label raise ``RingSpecError``; each class's
+    rank in label order is read once, and an entry of one item is not
+    sorted.
     """
     ring, basis = table.ring, table.basis
     labels = [idx.label(ring) for idx in basis]
@@ -504,25 +566,28 @@ def table_layout(table: StructureTable):
                 f"basis classes {index_to_dict(ring, basis[first])} and "
                 f"{index_to_dict(ring, basis[a])} have the same label {label!r}; "
                 "rename a generator")
-    head = {
-        "name": f"sym{table.n}_{ring.name or 'ring'}",
-        "n": table.n,
-        "max_degree": table.max_degree,
-        "generators": [
-            {"name": label, "degree": idx.degree(ring),
-             "index": index_to_dict(ring, idx)}
-            for label, idx in zip(labels, basis)
-        ],
-    }
+    head = {"name": f"sym{table.n}_{ring.name or 'ring'}",
+            "n": table.n,
+            "max_degree": table.max_degree}
+    rank = [0] * len(labels)
+    for r, a in enumerate(sorted(range(len(labels)), key=labels.__getitem__)):
+        rank[a] = r
 
-    def in_order(entry: dict[int, int]) -> list[tuple[int, int]]:
-        return sorted(entry.items(), key=lambda kv: labels[kv[0]])
+    def in_order(entry: dict[int, int]):
+        if len(entry) == 1:
+            return entry.items()
+        return [(k, entry[k]) for k in sorted(entry, key=rank.__getitem__)]
 
     return head, labels, in_order
 
 
 def table_to_dict(table: StructureTable) -> dict:
     doc, labels, in_order = table_layout(table)
+    ring = table.ring
+    doc["generators"] = [
+        {"name": label, "degree": idx.degree(ring), "index": index_to_dict(ring, idx)}
+        for label, idx in zip(labels, table.basis)
+    ]
     doc["products"] = [
         {"left": left,
          "right": right,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symprod.cli import json_text, main, table_json
+from symprod.cli import _write_json, json_text, main, table_json
 from symprod.fixtures import load_fixture, packaged_fixture_dir, resolve_spec_path
 from symprod.rings import Generator, Ring, RingSpecError, load_ring, ring_from_dict
 from symprod.sympower import structure_constants, table_to_dict
@@ -71,6 +71,7 @@ def test_validate_fixture(capsys):
 
 def test_validate_reports_violation(tmp_path, capsys):
     bad = {
+        "name": "bad",
         "generators": [{"name": "a1", "degree": 1}, {"name": "a2", "degree": 1},
                        {"name": "b", "degree": 2}],
         "products": [
@@ -80,9 +81,15 @@ def test_validate_reports_violation(tmp_path, capsys):
     }
     path = tmp_path / "bad.ring"
     path.write_text(json.dumps(bad))
+    # a spec failing a check is malformed input: exit 2, after the whole
+    # report on stdout
     code, out, _ = run(capsys, "validate", str(path))
-    assert code == 0
+    assert code == 2
     assert "FAILED" in out and "graded commutativity" in out
+    code, out, err = run(capsys, "validate", str(path), "--format", "json")
+    doc = json.loads(out)
+    assert (code, err, doc["ring"], doc["ok"]) == (2, "", "bad", False)
+    assert [v["invariant"] for v in doc["violations"]] == ["graded commutativity"] * 2
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -542,11 +549,16 @@ def refusing_json_dumps(*args, **kwargs):
 
 
 def assert_table_json_is_json_dumps(table, monkeypatch):
-    want = json.dumps(table_to_dict(table), indent=2, sort_keys=True)
+    doc = table_to_dict(table)
+    want = json.dumps(doc, indent=2, sort_keys=True)
     with monkeypatch.context() as patch:
         patch.setattr("symprod.cli.json.dumps", refusing_json_dumps)
         got = table_json(table)
     assert got == want
+    # the generators, written from the basis, are what _write_json writes
+    out = []
+    _write_json(doc["generators"], "  ", out)
+    assert got.startswith('{\n  "generators": ' + "".join(out) + ',\n  "max_degree": ')
 
 
 @pytest.mark.parametrize("spec", [path.name for path in SHIPPED])
@@ -554,6 +566,36 @@ def test_table_json_equals_json_dumps_on_fixtures(spec, monkeypatch):
     ring = load_ring(resolve_spec_path(spec))
     for n in (2, 3, 4):
         assert_table_json_is_json_dumps(structure_constants(ring, n, 6), monkeypatch)
+
+
+# the torus with its generators named against their order: the kernel
+# lists chi[y,x] before chi[w] (by slots), the writers after it (by label)
+REVERSED_TORUS = Ring([Generator("y", 1), Generator("x", 1), Generator("w", 2)],
+                      {("y", "x"): {"w": 1}, ("x", "y"): {"w": -1}}, name="reversed_torus")
+
+
+@pytest.mark.parametrize("ring,n,max_degree", [
+    (load_fixture("surface_g2"), 2, 4),
+    (load_fixture("surface_g2"), 3, 6),
+    (REVERSED_TORUS, 3, 6),
+], ids=["surface_g2-n2-d4", "surface_g2-n3-d6", "reversed_torus-n3-d6"])
+def test_both_writers_list_results_in_label_order(ring, n, max_degree):
+    # in surface_g2, chi[b] comes before chi[a1,a2] by basis position (no
+    # odd part sorts first) and after it by label; in the reversed torus
+    # the kernel's order is not the label order.  Both writers list a
+    # result's items by label, one item or many.
+    table = structure_constants(ring, n, max_degree)
+    labels = [idx.label(ring) for idx in table.basis]
+    entries = [entry for row in table.rows for entry in row]
+    by_label = [sorted(entry, key=labels.__getitem__) for entry in entries]
+    assert any(len(keys) == 1 for keys in by_label)
+    assert any(keys != sorted(keys) or keys != list(entry)
+               for keys, entry in zip(by_label, entries))
+    wants = [[{"gen": labels[k], "coeff": entry[k]} for k in keys]
+             for keys, entry in zip(by_label, entries)]
+    doc = table_to_dict(table)
+    assert [item["result"] for item in doc["products"]] == wants
+    assert [item["result"] for item in json.loads(table_json(table))["products"]] == wants
 
 
 def test_table_json_of_a_table_that_shares_no_entry(monkeypatch):

@@ -221,6 +221,92 @@ def test_kernel_rejects_arity_mismatch():
         product(0, len(pairs))
 
 
+def test_arity_mismatch_is_named_before_a_skipped_product():
+    # b multiplies every slot but the unit to zero, so the torus's chi[b]
+    # times chi[a1,a2,b], which has no unit slot, would be skipped as 0;
+    # the arities differ, and that is still an error
+    ring = fixtures.surface_ring(1)
+    pairs, triples = enumerate_basis(ring, 2), enumerate_basis(ring, 3)
+    basis = pairs + triples
+    a = basis.index(sympower.BasisIndex((), ((2, 1),), 1))
+    b = basis.index(sympower.BasisIndex((0, 1), ((2, 1),), 0))
+    product = IndexProduct(ring, basis)
+    with pytest.raises(ValueError, match="arities differ"):
+        product(a, b)
+    with pytest.raises(ValueError, match="arities differ"):
+        product.row(a, [a, b])
+
+
+def skipped_by_slots(ring, i, j):
+    """Whether some slot of i multiplies every slot of j to zero, read off
+    the ring's generator products."""
+    right = set(j.sorted_slots(ring))
+    return any(all(not ring.gen_product(s, t) for t in right)
+               for s in set(i.sorted_slots(ring)))
+
+
+def test_products_skipped_by_their_slots_are_zero(monkeypatch):
+    # the kernel's products for the table of Sym^2(Sym^2 surface_g2) up to
+    # degree 8: most are 0, and most of those have a slot that kills every
+    # slot of the partner
+    pairs = []
+    row = IndexProduct.row
+
+    def recording(self, a, bs):
+        out = row(self, a, bs)
+        pairs.extend(((a, b), result) for b, result in zip(bs, out))
+        return out
+
+    monkeypatch.setattr(IndexProduct, "row", recording)
+    ring = SYM2_SURFACE_G2
+    basis = structure_constants(ring, 2, 8).basis
+    skipped = {(a, b) for (a, b), _ in pairs if skipped_by_slots(ring, basis[a], basis[b])}
+    assert (len(pairs), sum(not result for _, result in pairs), len(skipped)) == (
+        6270, 4751, 3857)
+    assert all(not result for pair, result in pairs if pair in skipped)
+    reference = IndexProductReference(ring)
+    assert all(reference(basis[a], basis[b]) == {} for a, b in skipped)
+    # and the kernel answers them without enumerating any orbit
+    monkeypatch.undo()
+
+    def refusing(ring, slots):
+        raise AssertionError(f"orbit of {slots} enumerated")
+
+    monkeypatch.setattr(sympower, "signed_arrangements", refusing)
+    product = IndexProduct(ring, basis)
+    assert all(product(a, b) == {} for a, b in skipped)
+    with pytest.raises(AssertionError, match="enumerated"):
+        product(*next(pair for pair, _ in pairs if pair not in skipped))
+
+
+def test_arrangements_agreeing_off_the_left_units_are_walked_once():
+    # chi[a1] in Sym^6 surface_g2 has five unit slots: the arrangements
+    # of a right class that agree on the first slot give one term, so the
+    # orbit kept for it holds one arrangement per first slot; a left class
+    # with two units keeps one per arrangement of its other four slots
+    ring = fixtures.surface_ring(2)
+    basis = enumerate_basis(ring, 6)
+    product, reference = IndexProduct(ring, basis), IndexProductReference(ring)
+    lefts = [basis.index(sympower.BasisIndex((0,), (), 5)),
+             basis.index(sympower.BasisIndex((0, 1, 2), ((4, 1),), 2))]
+    for a in lefts:
+        for b in range(len(basis)):
+            got, want = product(a, b), reference(basis[a], basis[b])
+            want = {basis.index(k): c for k, c in want.items()}
+            assert (got, list(got)) == (want, list(want)), (a, b)
+    # orbits are kept by (slots walked, flips), one term per run of
+    # arrangements that agree on the walked slots: of 8,762 and 7,946
+    # arrangements, 251 and 4,516 terms are walked
+    for key, counts in [((1, 0), (71, 8762, 251)), ((4, 2), (63, 7946, 4516))]:
+        kept = product._orbits[key]
+        arrangements = {j: [b for b, _ in sympower.signed_arrangements(
+            ring, basis[j].sorted_slots(ring))] for j in kept}
+        walked = {j: sum(len(block) for _, block in blocks) for j, blocks in kept.items()}
+        assert all(walked[j] == len({b[:key[0]] for b in arrangements[j]}) for j in kept)
+        assert (len(kept), sum(map(len, arrangements.values())),
+                sum(walked.values())) == counts
+
+
 def test_product_outside_the_kernel_basis_is_an_internal_inconsistency():
     # chi[a1] * chi[a2] in Sym^2 of the torus is chi[b] + chi[a1,a2], both
     # of degree 2; a basis cut at degree 1 holds neither, and the kernel
