@@ -188,8 +188,6 @@ def surface_power_map(g: int, n: int) -> SurfacePowerMap:
 
 def bridge_degree(g: int, n: int, s: int) -> DegreeMatrix:
     """The degree-s change-of-basis matrix, from the run's shared map."""
-    if s == 0:
-        return DegreeMatrix(0, 1, 1, [[1]], True, [1])
     fmap = surface_power_map(g, n)
     monos = quotient_basis(g, n, s)
     tensor_rank = len(fmap._spans.get(s, ()))

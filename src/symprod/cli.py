@@ -38,7 +38,6 @@ from .sympower import (
     index_to_dict,
     structure_constants,
     table_layout,
-    table_to_dict,
 )
 
 EXIT_OK = 0
@@ -214,12 +213,15 @@ def cmd_sym_table(args) -> int:
     if args.format == "json":
         print(table_json(table))
         return EXIT_OK
-    doc = table_to_dict(table)
-    for item in doc["generators"]:
-        print(f"basis {item['name']}  degree={item['degree']}")
-    for entry in doc["products"]:
-        rhs = " ".join(f"{t['coeff']:+d}*{t['gen']}" for t in entry["result"]) or "0"
-        print(f"{entry['left']} * {entry['right']} = {rhs}")
+    # table_to_dict's document as lines, read from the rows as table_json reads them
+    _, labels, in_order = table_layout(table)
+    lines = [f"basis {label}  degree={idx.degree(ring)}\n"
+             for label, idx in zip(labels, table.basis)]
+    for left, row in zip(labels, table.rows):
+        for right, entry in zip(labels, row):
+            rhs = " ".join([f"{c:+d}*{labels[k]}" for k, c in in_order(entry)]) or "0"
+            lines.append(f"{left} * {right} = {rhs}\n")
+    sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

@@ -236,7 +236,10 @@ class IndexProduct:
     positions in it: ``IndexProduct(ring, basis)(a, b)`` gives the
     coordinates of realize(basis[a]) * realize(basis[b]) as {position:
     coefficient}, ordered by sorted slot tuple, as ``expand`` orders them;
-    ``row(a, bs)`` gives them for every b in bs at once.  A product term
+    ``row(a, bs)`` gives them for every b in bs at once.  What the kernel
+    is built on is checked once, by the constructor: generator products
+    that do not add degrees raise ``RingSpecError``, naming the first, and
+    a basis of more than one arity raises ``ValueError``.  A product term
     whose class is not in ``basis`` raises ``InternalInconsistencyError``.
     With e_i the sorted elementary tensor of i, the realization of i is
     (1/pad_i!) times the sum of e_i acted on by every permutation, and the
@@ -270,7 +273,7 @@ class IndexProduct:
     is read off those positions.  The slot-product table, the orbits, the
     sorted forms and each class's position and pad_k! by its sorted slots
     are cached per instance, and so is each left class's set-up on its
-    first use: its arity, slot-product rows, pad_i!, the length of the
+    first use: its slot-product rows, pad_i!, the length of the
     prefix that tells arrangements apart, flips, orbit cache and, for
     each of its slots, the slots it multiplies to nonzero as a bit mask.
     A term is stepped as one (slots, coefficient) pair until a slot
@@ -281,16 +284,12 @@ class IndexProduct:
         self.ring = ring
         self._basis = basis
         slots = range(ring.unit_slot + 1)
+        # products of invariant tensors are invariant, and of the degree
+        # the basis is sorted by, only if products of generators add degrees
+        if violations := ring.degree_violations():
+            v = violations[0]
+            raise RingSpecError(f"{v.invariant} fails for {'*'.join(v.witness)}: {v.detail}")
         self._odd = ring.odd_flags
-        # The product of tensors is equivariant only if products of
-        # generators add degree parities.
-        for (a, b), combo in ring.products.items():
-            for k in combo:
-                if self._odd[k] != (self._odd[a] + self._odd[b]) % 2:
-                    raise NotSymmetricError(
-                        f"product {ring.slot_name(a)}*{ring.slot_name(b)} has a "
-                        f"term {ring.slot_name(k)} of the wrong degree parity, "
-                        "so products of invariant tensors are not invariant")
         self._mul = [[tuple(ring.gen_product(a, b).items()) for b in slots]
                      for a in slots]
         # slot -> the slots it multiplies to nonzero, as a bit mask
@@ -307,29 +306,29 @@ class IndexProduct:
         self._sorted: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         # sorted slots -> (position, pad!)
         self._indices: dict[tuple[int, ...], tuple[int, int]] = {}
-        # position -> (arity, its slots as a bit mask)
-        self._rights: list[tuple[int, int]] = []
+        # position -> its slots as a bit mask
+        self._rights: list[int] = []
         for k, idx in enumerate(basis):
             key = idx.sorted_slots(ring)
             self._indices[key] = (k, factorial(idx.pad))
-            self._rights.append((len(key), sum(1 << s for s in set(key))))
+            self._rights.append(sum(1 << s for s in set(key)))
+        if len(arities := sorted({len(key) for key in self._indices})) > 1:
+            raise ValueError(f"index arities differ: {' vs '.join(map(str, arities))}")
+        self._arity = max(arities, default=0)
 
     def __call__(self, a: int, b: int) -> dict[int, int]:
         return self.row(a, [b])[0]
 
     def row(self, a: int, bs) -> list[dict[int, int]]:
         """The products basis[a] * basis[b] for each b in bs, in order."""
-        arity, first, rest, den, prefix, flips, orbits, partners = (
+        first, rest, den, prefix, flips, orbits, partners = (
             self._lefts.get(a) or self._left(a))
         rights = self._rights
         known = self._sorted
         indices = self._indices
         out = []
         for b in bs:
-            width, mask = rights[b]
-            if width != arity:
-                raise ValueError(f"index arities differ: {arity} vs {width}")
-            if not all(map(mask.__and__, partners)):
+            if not all(map(rights[b].__and__, partners)):
                 # a slot of basis[a] multiplies every slot of basis[b] to 0
                 out.append({})
                 continue
@@ -395,8 +394,7 @@ class IndexProduct:
         prefix = len(slots) - i.pad if i.pad > 1 else len(slots)
         orbits = self._orbits.setdefault((prefix, flips), {})
         partners = tuple({self._partners[s] for s in slots})
-        hit = self._lefts[a] = (len(slots), first, rest, factorial(i.pad), prefix, flips,
-                                orbits, partners)
+        hit = self._lefts[a] = (first, rest, factorial(i.pad), prefix, flips, orbits, partners)
         return hit
 
     def _names(self, a: int, b: int) -> str:
@@ -419,8 +417,7 @@ class IndexProduct:
         with odd slots with the odd positions of each b as a bit mask;
         unsigned, they are the orbit for ``flips`` = 0 and for a j without
         odd slots.  A miss for other flips reads the signs off the stored
-        masks.  Built on a miss of the cache that ``row`` reads, after
-        ``row`` has checked the arity."""
+        masks.  Built on a miss of the cache that ``row`` reads."""
         hit = self._arrangements.get(j)
         if hit is None:
             idx = self._basis[j]
@@ -440,7 +437,7 @@ class IndexProduct:
             blocks = [(b0, [(tail, -c if (at & flips).bit_count() % 2 else c)
                             for (tail, c), at in zip(block, ats)])
                       for (b0, block), ats in zip(blocks, odd_at)]
-        if prefix < self._rights[j][0] - 1:
+        if prefix < self._arity - 1:
             # one term of each run that agrees on b[:prefix], times its length
             cut = max(prefix - 1, 0)
             blocks = [(b0, [(tail, c * (1 + len(others)))
@@ -482,7 +479,7 @@ class StructureTable:
     when |a||b| is odd.  Otherwise both orders are computed.  A result is
     keyed by basis position, as the kernel keys it; ``product(i, j)``
     reads one by basis index.  Generator products that do not add degrees
-    raise ``RingSpecError``.
+    raise ``RingSpecError``, from the kernel's constructor.
     """
 
     def __init__(self, ring: Ring, n: int, max_degree: int):
@@ -494,10 +491,6 @@ class StructureTable:
         self.basis = basis = [idx for idx in enumerate_basis(ring, n)
                               if idx.degree(ring) <= max_degree]
         product = IndexProduct(ring, basis)
-        # after the kernel's own check: a spec breaking parity is named so
-        if violations := ring.degree_violations():
-            v = violations[0]
-            raise RingSpecError(f"{v.invariant} fails for {'*'.join(v.witness)}: {v.detail}")
         mirror = not ring.commutativity_violations()
         degrees = [idx.degree(ring) for idx in basis]
         self.rows = rows = []

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symprod import bridge, lattice
 from symprod.cli import _write_json, json_text, main, table_json
 from symprod.fixtures import load_fixture, packaged_fixture_dir, resolve_spec_path
-from symprod.rings import Generator, Ring, RingSpecError, load_ring, ring_from_dict
+from symprod.rings import Generator, Ring, RingSpecError, load_ring, ring_from_dict, ring_to_dict
 from symprod.sympower import structure_constants, table_to_dict
 from oracles import table_from_dict
 from query_references import build_parser_reference, relations_doc_reference
-from test_kernel import NONCOMMUTATIVE_TORUS
+from test_kernel import NONCOMMUTATIVE_TORUS, SYM2_SURFACE_G2
 from test_rings import SHIPPED
 
 
@@ -90,6 +91,40 @@ def test_validate_reports_violation(tmp_path, capsys):
     doc = json.loads(out)
     assert (code, err, doc["ring"], doc["ok"]) == (2, "", "bad", False)
     assert [v["invariant"] for v in doc["violations"]] == ["graded commutativity"] * 2
+
+
+# x*x = 0 and t*t = 0, so (x x) t = 0 = t (x x) while x (x t) = x y = z
+# = (t x) x; and a*a = b with |a| = 1, a nonzero odd square
+ASSOCIATIVITY_FAILS = Ring(
+    [Generator("x", 2), Generator("t", 2), Generator("y", 4), Generator("z", 6)],
+    {("x", "t"): {"y": 1}, ("t", "x"): {"y": 1},
+     ("x", "y"): {"z": 1}, ("y", "x"): {"z": 1}}, name="assoc")
+ODD_SQUARE = Ring([Generator("a", 1), Generator("b", 2)], {("a", "a"): {"b": 1}},
+                  name="odd_square")
+
+
+@pytest.mark.parametrize("ring,violations", [
+    (ASSOCIATIVITY_FAILS, [
+        ("associativity", ("x", "x", "t"), "(g_i g_j) g_k != g_i (g_j g_k)"),
+        ("associativity", ("t", "x", "x"), "(g_i g_j) g_k != g_i (g_j g_k)")]),
+    (ODD_SQUARE, [
+        ("graded commutativity", ("a", "a"), "product(a,a) != -product(a,a)"),
+        ("odd square", ("a",), "a^2 is nonzero")]),
+], ids=["associativity", "odd_square"])
+def test_validate_reports_associativity_and_odd_squares(tmp_path, capsys, ring, violations):
+    report = ring.validate()
+    assert [(v.invariant, v.witness, v.detail) for v in report.violations] == violations
+    path = tmp_path / f"{ring.name}.ring"
+    path.write_text(json.dumps(ring_to_dict(ring)))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (2, "")
+    assert out == "".join([f"{ring.name}: FAILED\n"]
+                          + [f"  {v}\n" for v in report.violations])
+    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["ok"]) == (2, False)
+    assert [(v["invariant"], tuple(v["witness"]), v["detail"])
+            for v in doc["violations"]] == violations
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -246,6 +281,39 @@ def test_bridge_json_and_exit_codes(capsys):
     assert doc["multiplicative_spot_check"] is True
 
 
+@pytest.fixture
+def fresh_surface_power_map():
+    # the run's map is cached by (g, n); a patched run builds its own and
+    # leaves none behind
+    bridge.surface_power_map.cache_clear()
+    yield
+    bridge.surface_power_map.cache_clear()
+
+
+def test_bridge_exits_3_when_the_spot_check_fails(capsys, monkeypatch, fresh_surface_power_map):
+    # a reduced product that is twice the true one differs from the product
+    # of the images on every sampled pair whose product is nonzero
+    multiply_nf = bridge.multiply_nf
+    monkeypatch.setattr(bridge, "multiply_nf", lambda f, h, g, n: 2 * multiply_nf(f, h, g, n))
+    assert not bridge.multiplicativity_spot_check(2, 3, seed=20240501)
+    code, out, err = run(capsys, "bridge", "--g", "2", "--n", "3")
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    assert lines[0] == "g=2 n=3 verdict=isomorphism"
+    assert lines[2] == "multiplicative spot check (seed 20240501): False"
+
+
+def test_bridge_exits_3_on_a_mismatch(capsys, monkeypatch, fresh_surface_power_map):
+    # a first Smith invariant of 2: no degree's matrix is unimodular
+    smith = lattice.smith
+    monkeypatch.setattr(lattice, "smith", lambda m: [2, *smith(m)[1:]])
+    code, out, err = run(capsys, "bridge", "--g", "2", "--n", "3", "--format", "json")
+    doc = json.loads(out)
+    assert (code, err, doc["verdict"]) == (3, "", "mismatch")
+    assert doc["multiplicative_spot_check"] is True
+    assert [d["unimodular"] for d in doc["degrees"]] == [False] * 7
+
+
 def test_bridge_partial_resource_exit(capsys):
     code, out, _ = run(capsys, "bridge", "--g", "1", "--n", "2",
                        "--max-degree", "1")
@@ -374,7 +442,7 @@ def test_sym_table_rejects_parity_breaking_ring(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     code, _, err = run(capsys, "sym-table", str(path), "--n", "2", "--max-degree", "2")
     assert code == 2
-    assert "degree parity" in err
+    assert err == "error: degree additivity fails for a*a: term a has degree 1, expected 2\n"
 
 
 @pytest.mark.parametrize("square", ["w", "u"])
@@ -641,6 +709,41 @@ def test_table_json_of_an_empty_table(capsys, monkeypatch):
     code, out, _ = run(capsys, "sym-table", "torus.ring", "--n", "2",
                        "--max-degree", "0", "--format", "json")
     assert (code, out) == (0, table_json(table) + "\n")
+
+
+def table_text_reference(table) -> str:
+    """`sym-table`'s text output rendered from the table's document, one
+    line per basis class and one per product."""
+    doc = table_to_dict(table)
+    lines = [f"basis {item['name']}  degree={item['degree']}" for item in doc["generators"]]
+    for entry in doc["products"]:
+        rhs = " ".join(f"{t['coeff']:+d}*{t['gen']}" for t in entry["result"]) or "0"
+        lines.append(f"{entry['left']} * {entry['right']} = {rhs}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("spec,n,max_degree", [
+    *[(path.name, n, 2 * n) for path in SHIPPED for n in (2, 3)],
+    ("sym2_surface_g2", 2, 8),
+    ("noncommutative_torus", 3, 6),
+    ("hopf_2.ring", 3, 0),
+])
+def test_sym_table_text_equals_the_document_rendered(tmp_path, capsys, spec, n, max_degree):
+    # text mode lists the basis, then every product in the document's
+    # order, each result's items by label; an empty table prints nothing
+    rings = {"sym2_surface_g2": SYM2_SURFACE_G2, "noncommutative_torus": NONCOMMUTATIVE_TORUS}
+    if spec in rings:
+        ring = rings[spec]
+        spec = str(tmp_path / f"{spec}.ring")
+        Path(spec).write_text(json.dumps(ring_to_dict(ring)))
+    else:
+        ring = load_ring(resolve_spec_path(spec))
+    want = table_text_reference(structure_constants(ring, n, max_degree))
+    assert bool(want) == (max_degree > 0)
+    code, out, err = run(capsys, "sym-table", spec, "--n", str(n),
+                         "--max-degree", str(max_degree))
+    assert (code, err) == (0, "")
+    assert out == want
 
 
 def test_table_json_escapes_names(monkeypatch):
