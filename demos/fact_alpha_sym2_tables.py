@@ -8,25 +8,25 @@ deciding graded-ring isomorphism is a different (and much harder) problem.
 """
 
 from symprod import fixtures
-from symprod.sympower import structure_constants
+from symprod.sympower import structure_constants, table_layout
 
 
 def print_table(name, ring, n=2):
     table = structure_constants(ring, n, max(g.degree for g in ring.generators) * n)
+    # the labels and the order of a result's items that every table writer uses
+    _, labels, in_order = table_layout(table)
     print(f"--- Sym^{n} of {name} ---")
     print("basis:")
-    for idx in table.basis:
-        print(f"  {idx.label(ring)}  (degree {idx.degree(ring)})")
+    for label, idx in zip(labels, table.basis):
+        print(f"  {label}  (degree {idx.degree(ring)})")
     print("nonzero products (one triangle; the table is graded-commutative):")
     # rows[a][b] is basis[a] * basis[b], keyed by basis position; the
     # triangle is b >= a
-    labels = [idx.label(ring) for idx in table.basis]
     for a, (left, row) in enumerate(zip(labels, table.rows)):
         for right, entry in zip(labels[a:], row[a:]):
             if not entry:
                 continue
-            rhs = " ".join(f"{c:+d}*{labels[k]}" for k, c in sorted(
-                entry.items(), key=lambda kv: labels[kv[0]]))
+            rhs = " ".join(f"{c:+d}*{labels[k]}" for k, c in in_order(entry))
             print(f"  {left} * {right} = {rhs}")
     print()
 

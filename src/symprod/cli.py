@@ -52,11 +52,12 @@ def json_text(doc) -> str:
     with string keys.
 
     With ``indent`` set, ``json`` runs its pure-Python encoder item by
-    item.  Here the pieces go to one list that is joined once; a plain
-    int is ``str`` and a list of them, such as a bridge matrix row, is
-    one join.  Tuples are written as lists, as ``json`` writes them;
-    empty containers are written directly, and other leaves (floats,
-    bools, None) go to ``json.dumps``.
+    item.  Here the pieces go to one list that is joined once; a dict's
+    key is one piece, and its value goes through the same recursive call
+    as a list item.  A plain int is ``str`` and a list of them, such as a
+    bridge matrix row, is one join.  Tuples are written as lists, as
+    ``json`` writes them; empty containers are written directly, and other
+    leaves (floats, bools, None) go to ``json.dumps``.
     """
     out: list[str] = []
     _write_json(doc, "", out)
@@ -72,17 +73,8 @@ def _write_json(obj, indent: str, out: list[str]) -> None:
     elif isinstance(obj, dict) and obj:
         head = "{\n" + inner
         for k in sorted(obj):
-            v = obj[k]
-            key = f"{head}{encode_basestring_ascii(k)}: "
-            # str and int leaves go into the key's piece; bool, a subclass
-            # of int, goes through json.dumps
-            if type(v) is str:
-                out.append(key + encode_basestring_ascii(v))
-            elif type(v) is int:
-                out.append(f"{key}{v}")
-            else:
-                out.append(key)
-                _write_json(v, inner, out)
+            out.append(f"{head}{encode_basestring_ascii(k)}: ")
+            _write_json(obj[k], inner, out)
             head = ",\n" + inner
         out.append(f"\n{indent}}}")
     elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {int}:
@@ -111,8 +103,9 @@ def table_json(table) -> str:
     its ``"gen"`` item; the generators are written from the basis, and
     the products as one list of pieces, each entry's left part, result
     and right part read by basis position from ``table.rows``.  A
-    graded-commutative table shares one result dict between (i, j) and
-    (j, i), and that dict is sorted and written once.
+    result's items are listed by ``table_layout``'s ``in_order``, by
+    label.  A graded-commutative table shares one result dict between
+    (i, j) and (j, i), and that dict is sorted and written once.
     """
     head, labels, in_order = table_layout(table)
     quoted = [encode_basestring_ascii(label) for label in labels]

@@ -546,9 +546,8 @@ def table_layout(table: StructureTable):
     writer: the document's name, n and max_degree, each basis class's
     label by position, and a function listing an entry's items in written
     order, by label.  A label is a generator's name in the written table,
-    so two classes with one label raise ``RingSpecError``; each class's
-    rank in label order is read once, and an entry of one item is not
-    sorted.
+    so two classes with one label raise ``RingSpecError``; an entry of one
+    item is not sorted.
     """
     ring, basis = table.ring, table.basis
     labels = [idx.label(ring) for idx in basis]
@@ -562,14 +561,11 @@ def table_layout(table: StructureTable):
     head = {"name": f"sym{table.n}_{ring.name or 'ring'}",
             "n": table.n,
             "max_degree": table.max_degree}
-    rank = [0] * len(labels)
-    for r, a in enumerate(sorted(range(len(labels)), key=labels.__getitem__)):
-        rank[a] = r
 
     def in_order(entry: dict[int, int]):
         if len(entry) == 1:
             return entry.items()
-        return [(k, entry[k]) for k in sorted(entry, key=rank.__getitem__)]
+        return [(k, entry[k]) for k in sorted(entry, key=labels.__getitem__)]
 
     return head, labels, in_order
 

@@ -135,6 +135,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line" in err
 
 
+def test_tensor_power_below_two_exit_code(capsys):
+    code, out, err = run(capsys, "sym-basis", "sphere2.ring", "--n", "1")
+    assert (code, out, err) == (2, "", "error: tensor power must have n >= 2\n")
+
+
+def test_duplicate_product_entry_exit_code(tmp_path, capsys):
+    path = tmp_path / "dup.ring"
+    path.write_text(json.dumps({
+        "name": "dup", "generators": [{"name": "a", "degree": 2}],
+        "products": [{"left": "a", "right": "a", "result": []}] * 2}))
+    for argv in (["validate", str(path)],
+                 ["sym-table", str(path), "--n", "2", "--max-degree", "4"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: duplicate product entry 'a'*'a'\n"), argv
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "validate", "no_such.ring")
     assert code == 2
@@ -209,6 +225,13 @@ def test_bad_poly_exit_code(capsys):
     code, _, err = run(capsys, "nf", "--g", "1", "--n", "2", "x1.x1")
     assert code == 2
     assert "repeated" in err
+    for poly, message in [("x1+", "cannot tokenize 'x1+'"),
+                          ("2a*x1", "bad coefficient in '+2a*x1'"),
+                          ("x1.1", "'1' cannot appear inside a word: '+x1.1'")]:
+        code, out, err = run(capsys, "nf", "--g", "2", "--n", "2", "--", poly)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), poly
+    code, out, err = run(capsys, "nf", "--g", "1", "--n", "1", "y")
+    assert (code, out, err) == (2, "", "error: need n >= 2\n")
 
 
 def test_invalid_mode_exit_code(capsys):

@@ -467,6 +467,8 @@ def test_quotient_basis_examples():
     assert quotient_basis(1, 2, 2) == [mono(q=1), mono([1], [1])]
     assert quotient_basis(1, 2, 4) == [mono(q=2)]
     assert quotient_basis(1, 2, 0) == [ONE]
+    with pytest.raises(ValueError, match=re.escape("degree 7 outside 0..6")):
+        quotient_basis(2, 3, 7)
 
 
 def quotient_basis_reference(g, n, s):
@@ -1100,3 +1102,10 @@ def test_parse_rejects_repeats_and_junk():
     # index beyond the configured genus
     with pytest.raises(PolyParseError):
         parse_poly("x4", g=3)
+    # a dangling sign, a coefficient that is not a number, and a 1 inside
+    # a word
+    for text, message in [("x1+", "cannot tokenize 'x1+'"),
+                          ("2a*x1", "bad coefficient in '+2a*x1'"),
+                          ("x1.1", "'1' cannot appear inside a word: '+x1.1'")]:
+        with pytest.raises(PolyParseError, match=re.escape(message)):
+            parse_poly(text)
