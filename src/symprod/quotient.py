@@ -370,9 +370,9 @@ def multiply_nf(f: Polynomial, h: Polynomial, g: int, n: int) -> Polynomial:
 
 
 def betti(g: int, n: int, k: int) -> int:
-    """Rank of the degree-k part: sum of C(2g, k - 2i) for i >= 0, with the
-    reflection B_{2n-k} = B_k for k > n.  g = 0 is the sphere (CP^n),
-    n = 0 a point and n = 1 the surface itself."""
+    """Rank of the degree-k part: sum of C(2g, k - 2i) over i >= 0 with
+    k - 2i <= 2g, with the reflection B_{2n-k} = B_k for k > n.  g = 0 is
+    the sphere (CP^n), n = 0 a point and n = 1 the surface itself."""
     if g < 0:
         raise ValueError(f"need g >= 0, got g={g}")
     if n < 0:
@@ -381,7 +381,7 @@ def betti(g: int, n: int, k: int) -> int:
         raise ValueError(f"degree {k} outside 0..{2 * n}")
     if k > n:
         k = 2 * n - k
-    return sum(comb(2 * g, k - 2 * i) for i in range(k // 2 + 1))
+    return sum(comb(2 * g, j) for j in range(k % 2, min(k, 2 * g) + 1, 2))
 
 
 def quotient_basis(g: int, n: int, s: int) -> list[Monomial]:

@@ -9,6 +9,7 @@ coefficients only.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -222,18 +223,18 @@ class Ring:
                     "odd square", (self.slot_name(i),),
                     f"{self.slot_name(i)}^2 is nonzero"))
 
-        for i in range(n):
-            gi = Element(self, {i: Fraction(1)})
-            for j in range(n):
-                gj = Element(self, {j: Fraction(1)})
-                left = self.multiply(gi, gj)
-                for k in range(n):
-                    gk = Element(self, {k: Fraction(1)})
-                    if self.multiply(left, gk) != self.multiply(gi, self.multiply(gj, gk)):
-                        violations.append(Violation(
-                            "associativity",
-                            (self.slot_name(i), self.slot_name(j), self.slot_name(k)),
-                            "(g_i g_j) g_k != g_i (g_j g_k)"))
+        products = self.products
+        for i, j, k in itertools.product(range(n), repeat=3):
+            left, right = {}, {}
+            for m, c in products.get((i, j), {}).items():
+                add_terms(left, products.get((m, k), {}).items(), c)
+            for m, c in products.get((j, k), {}).items():
+                add_terms(right, products.get((i, m), {}).items(), c)
+            if left != right:
+                violations.append(Violation(
+                    "associativity",
+                    (self.slot_name(i), self.slot_name(j), self.slot_name(k)),
+                    "(g_i g_j) g_k != g_i (g_j g_k)"))
         return ValidationReport(violations)
 
 

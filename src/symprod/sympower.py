@@ -268,14 +268,16 @@ class IndexProduct:
     one b of each such run is walked, its coefficient times the run's
     length.
 
-    Each right index's signed arrangements are enumerated once, with the
-    odd positions of each; the sign a left index's odd slots put on them
-    is read off those positions.  The slot-product table, the orbits, the
-    sorted forms and each class's position and pad_k! by its sorted slots
-    are cached per instance, and so is each left class's set-up on its
-    first use: its slot-product rows, pad_i!, the length of the
-    prefix that tells arrangements apart, flips, orbit cache and, for
-    each of its slots, the slots it multiplies to nonzero as a bit mask.
+    Terms are accumulated by class: each class's slots are sorted once,
+    and each arrangement a term reaches is cached with its class's rank in
+    sorted-slot order and its Koszul sign times pad_k!, so a result is
+    read off by rank.  Each right index's signed arrangements are
+    enumerated once, with the odd positions of each; the sign a left
+    index's odd slots put on them is read off those positions.  The
+    slot-product table and the orbits are cached per instance, and so is
+    each left class's set-up on its first use: its slot-product rows,
+    pad_i!, the prefix length that tells arrangements apart, flips, orbit
+    cache and, per slot, the slots it multiplies to nonzero as a bit mask.
     A term is stepped as one (slots, coefficient) pair until a slot
     product has more than one term.
     """
@@ -303,18 +305,18 @@ class IndexProduct:
         # (prefix, flips) -> j -> blocks (b[0], [(b[1:], signed coeff),
         # ...]), one b per run that agrees on b[:prefix]
         self._orbits: dict[tuple[int, int], dict[int, list]] = {}
-        self._sorted: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        # sorted slots -> (position, pad!)
-        self._indices: dict[tuple[int, ...], tuple[int, int]] = {}
-        # position -> its slots as a bit mask
-        self._rights: list[int] = []
-        for k, idx in enumerate(basis):
-            key = idx.sorted_slots(ring)
-            self._indices[key] = (k, factorial(idx.pad))
-            self._rights.append(sum(1 << s for s in set(key)))
-        if len(arities := sorted({len(key) for key in self._indices})) > 1:
+        # position -> its sorted slots
+        self._slots = [idx.sorted_slots(ring) for idx in basis]
+        if len(arities := sorted(set(map(len, self._slots)))) > 1:
             raise ValueError(f"index arities differ: {' vs '.join(map(str, arities))}")
         self._arity = max(arities, default=0)
+        # rank in sorted-slot order -> position, and sorted slots -> rank
+        self._order = sorted(range(len(basis)), key=self._slots.__getitem__)
+        self._ranks = {self._slots[k]: r for r, k in enumerate(self._order)}
+        # arrangement -> (rank of its class, Koszul sign * the class's pad!)
+        self._classes: dict[tuple[int, ...], tuple[int, int]] = {}
+        # position -> its slots as a bit mask
+        self._rights = [sum(1 << s for s in set(key)) for key in self._slots]
 
     def __call__(self, a: int, b: int) -> dict[int, int]:
         return self.row(a, [b])[0]
@@ -324,8 +326,8 @@ class IndexProduct:
         first, rest, den, prefix, flips, orbits, partners = (
             self._lefts.get(a) or self._left(a))
         rights = self._rights
-        known = self._sorted
-        indices = self._indices
+        known = self._classes
+        order = self._order
         out = []
         for b in bs:
             if not all(map(rights[b].__and__, partners)):
@@ -333,7 +335,7 @@ class IndexProduct:
                 out.append({})
                 continue
             blocks = orbits.get(b) or self._orbit(b, prefix, flips)
-            acc: dict[tuple[int, ...], int] = {}
+            acc: dict[int, int] = {}
             for b0, block in blocks:
                 head = first[b0]
                 if not head:
@@ -357,34 +359,26 @@ class IndexProduct:
                                      for t, v in combo]
                     else:
                         for t_slots, x in terms or [(slots, c)]:
-                            key, sign = known.get(t_slots) or self._sort(t_slots)
+                            rank, sign = known.get(t_slots) or self._sort(t_slots, a, b)
                             if sign:
-                                acc[key] = acc.get(key, 0) + sign * x
-            # c_k = pad_k! * acc[k] / pad_i!, by sorted key
+                                acc[rank] = acc.get(rank, 0) + sign * x
+            # c_k = acc[k] / pad_i!, pad_k! being in acc[k] already, by rank
             result = {}
-            for key in sorted(acc):
-                total = acc[key]
-                if not total:
+            for rank in sorted(acc):
+                if not (num := acc[rank]):
                     continue
-                if (hit := indices.get(key)) is None:
-                    raise InternalInconsistencyError(
-                        f"{self._names(a, b)} has a term {[self.ring.slot_name(s) for s in key]} "
-                        "outside the kernel's basis")
-                k, pad_factorial = hit
-                num = pad_factorial * total
                 c, rem = divmod(num, den)
                 if rem:
                     raise TheoremViolationError(
                         f"non-integer structure constant {Fraction(num, den)} in "
-                        f"{self._names(a, b)} at {self._basis[k].label(self.ring)}")
-                result[k] = c
+                        f"{self._names(a, b)} at {self._basis[order[rank]].label(self.ring)}")
+                result[order[rank]] = c
             out.append(result)
         return out
 
     def _left(self, a: int) -> tuple:
         """basis[a]'s set-up for ``row``, built on its first use."""
-        i = self._basis[a]
-        slots = i.sorted_slots(self.ring)
+        i, slots = self._basis[a], self._slots[a]
         first, *rest = [self._mul[s] for s in slots]
         # i's odd slots come first: the arrangements of j with an odd
         # number of odd slots at these positions change sign (see _orbit)
@@ -424,7 +418,7 @@ class IndexProduct:
             lead = idx.leading_multiplier
             odd = self._odd
             blocks, odd_at = [], []
-            for b, sign in signed_arrangements(self.ring, idx.sorted_slots(self.ring)):
+            for b, sign in signed_arrangements(self.ring, self._slots[j]):
                 if not blocks or blocks[-1][0] != b[0]:
                     blocks.append((b[0], []))
                     odd_at.append([])
@@ -447,24 +441,28 @@ class IndexProduct:
         self._orbits[(prefix, flips)][j] = blocks
         return blocks
 
-    def _sort(self, slots: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """Sorted slots and Koszul sign, the sign 0 if an odd slot repeats,
-        read in one pass over the odd slots: the sign is the parity of
-        their inversions.  Computed on a miss of the cache that ``row``
-        reads."""
+    def _sort(self, slots: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
+        """Rank of the class of ``slots``, a term of basis[a] * basis[b], and
+        its Koszul sign times the class's pad!, the sign 0 if an odd slot
+        repeats: the parity of the odd slots' inversions, read in one pass.
+        Computed on a miss of the cache that ``row`` reads."""
         odd = self._odd
         seen: list[int] = []
         inversions = 0
         for s in slots:
             if odd[s]:
                 if s in seen:
-                    sign = 0
-                    break
+                    hit = self._classes[slots] = (0, 0)
+                    return hit
                 inversions += sum(t > s for t in seen)
                 seen.append(s)
-        else:
-            sign = -1 if inversions & 1 else 1
-        hit = self._sorted[slots] = (tuple(sorted(slots)), sign)
+        key = tuple(sorted(slots))
+        if (rank := self._ranks.get(key)) is None:
+            raise InternalInconsistencyError(
+                f"{self._names(a, b)} has a term {[self.ring.slot_name(s) for s in key]} "
+                "outside the kernel's basis")
+        sign = -1 if inversions & 1 else 1
+        hit = self._classes[slots] = (rank, sign * factorial(self._basis[self._order[rank]].pad))
         return hit
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symprod import bridge, lattice
+from symprod import bridge, lattice, quotient
 from symprod.cli import _write_json, json_text, main, table_json
 from symprod.fixtures import load_fixture, packaged_fixture_dir, resolve_spec_path
 from symprod.rings import Generator, Ring, RingSpecError, load_ring, ring_from_dict, ring_to_dict
@@ -289,10 +289,22 @@ def test_sym_table_json_reingests_as_ring(capsys):
     assert len(table.basis) == 2
 
 
-def test_verify_text(capsys):
+def test_verify_text(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--g", "2", "--n", "2")
     assert code == 0
     assert "ok" in out.strip().splitlines()[-1]
+    # one degree whose ideals differ is named, and the certificate fails
+    degrees_equal = quotient._degrees_equal
+
+    def one_differs(*args):
+        flags = degrees_equal(*args)
+        flags[3] = (3, False)
+        return flags
+
+    monkeypatch.setattr(quotient, "_degrees_equal", one_differs)
+    code, out, _ = run(capsys, "verify", "--g", "2", "--n", "2")
+    assert code == 3
+    assert out.splitlines()[-2:] == ["ideals differ in degrees [3]", "FAILED"]
 
 
 def test_bridge_json_and_exit_codes(capsys):
@@ -380,14 +392,14 @@ def test_failed_certificate_exit_code(capsys, monkeypatch):
 def test_internal_inconsistency_exit_code(capsys, monkeypatch):
     from symprod.sympower import IndexProduct
 
-    # the kernel's lookup of a result's basis position by its sorted
-    # slots, emptied: the first nonzero product names a class outside the
-    # kernel's basis
+    # the kernel's lookup of a class's rank by its sorted slots, emptied:
+    # the first product with a term names a class outside the kernel's
+    # basis
     init = IndexProduct.__init__
 
     def forgetful(product, ring, basis):
         init(product, ring, basis)
-        product._indices.clear()
+        product._ranks.clear()
 
     monkeypatch.setattr(IndexProduct, "__init__", forgetful)
     code, _, err = run(capsys, "sym-table", "torus.ring", "--n", "2",

@@ -293,12 +293,12 @@ def test_arrangements_agreeing_off_the_left_units_are_walked_once():
 def test_product_outside_the_kernel_basis_is_an_internal_inconsistency():
     # chi[a1] * chi[a2] in Sym^2 of the torus is chi[b] + chi[a1,a2], both
     # of degree 2; a basis cut at degree 1 holds neither, and the kernel
-    # names the missing class instead of building it
+    # names the first missing class it meets instead of building it
     ring = fixtures.surface_ring(1)
     basis = enumerate_basis(ring, 2, degree=1)
     product = IndexProduct(ring, basis)
     with pytest.raises(InternalInconsistencyError,
-                       match=r"chi\[a1\] \* chi\[a2\] has a term \['a1', 'a2'\] outside"):
+                       match=r"chi\[a1\] \* chi\[a2\] has a term \['b', '1'\] outside"):
         product(0, 1)
     assert product(0, 0) == {}
 

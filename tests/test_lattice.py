@@ -413,6 +413,7 @@ def test_determinant():
     assert determinant([[2, 0], [0, 3]]) == 6
     assert determinant([[1, 2], [2, 4]]) == 0
     assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([]) == 1
     with pytest.raises(DimensionError):
         determinant([[1, 2, 3], [4, 5, 6]])
 
@@ -444,6 +445,8 @@ def test_lattice_equal():
     assert lattice_equal([[1, 1], [0, 2]], [[1, -1], [0, 2]])
     assert not lattice_equal([[2, 0], [0, 2]], [[1, 0], [0, 1]])
     assert lattice_equal([], [[0, 0]])
+    with pytest.raises(DimensionError, match="ambient dimensions differ"):
+        lattice_equal([[1, 0]], [[1, 0, 0]])
 
 
 def test_hermite_preserves_row_space_random():

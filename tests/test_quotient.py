@@ -56,6 +56,12 @@ def test_monomial_type_and_weight():
         m = Monomial(xs, xp, rng.randrange(0, 5))
         a, b, c, q = m.abcq
         assert m.weight == a + b + 2 * c + q, m
+    for xs, xp in [((2, 1), ()), ((), (3, 3))]:
+        with pytest.raises(ValueError, match="index sets must be strictly increasing"):
+            Monomial(xs, xp, 0)
+    for xs, xp, q in [((0, 1), (), 0), ((), (0,), 0), ((1,), (), -1)]:
+        with pytest.raises(ValueError, match="indices start at 1 and q >= 0"):
+            Monomial(xs, xp, q)
 
 
 def test_monomial_mul_signs():
@@ -461,6 +467,24 @@ def test_betti_poincare_symmetry():
     for g, n in [(1, 2), (2, 3), (3, 2)]:
         for k in range(2 * n + 1):
             assert betti(g, n, k) == betti(g, n, 2 * n - k)
+
+
+def test_betti_sums_only_the_binomials_that_can_be_nonzero(monkeypatch):
+    # C(2g, j) = 0 for j > 2g: the sum over every j = k - 2i would be
+    # quadratic in n across a whole `betti` line
+    for g, n in [(0, 4), (1, 5), (2, 6), (3, 9)]:
+        for k in range(2 * n + 1):
+            d = min(k, 2 * n - k)
+            assert betti(g, n, k) == sum(comb(2 * g, d - 2 * i) for i in range(d // 2 + 1))
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return comb(a, b)
+
+    monkeypatch.setattr(quotient, "comb", counted)
+    assert betti(2, 10**5, 10**5) == 1 + 6 + 1
+    assert len(calls) <= 2 * 2 + 1
 
 
 def test_quotient_basis_examples():

@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 
 from symprod import fixtures
 from symprod.rings import (
+    Element,
     Generator,
     MalformedElementError,
     Ring,
     RingSpecError,
+    ValidationReport,
+    Violation,
     add_terms,
     load_ring,
     ring_from_dict,
@@ -87,6 +91,11 @@ def test_fixture_files_match_constructors():
         written = json.dumps(ring_to_dict(ring), indent=2) + "\n"
         path = Path(fixtures.packaged_fixture_dir()) / f"{name}.ring"
         assert path.read_bytes() == written.encode(), name
+    for build, message in [(fixtures.surface_ring, "genus must be >= 1"),
+                           (fixtures.hopf_ring, "need k >= 1 and m >= 1"),
+                           (fixtures.sullivan_ring, "form strength s must be >= 1")]:
+        with pytest.raises(ValueError, match=message):
+            build(0)
 
 
 def test_torus_multiplication(torus):
@@ -143,6 +152,57 @@ def test_associativity_exhaustive_on_fixtures():
                 ab = a * b
                 for c in gens:
                     assert ab * c == a * (b * c)
+
+
+def validate_reference(ring):
+    """`Ring.validate` with associativity checked on `Element`s: every
+    generator triple multiplied through `Ring.multiply`."""
+    violations = ring.degree_violations() + ring.commutativity_violations()
+    n = len(ring.generators)
+    for i in range(n):
+        if ring.slot_degree(i) % 2 and ring.products.get((i, i)):
+            violations.append(Violation(
+                "odd square", (ring.slot_name(i),), f"{ring.slot_name(i)}^2 is nonzero"))
+    gens = [Element(ring, {i: Fraction(1)}) for i in range(n)]
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens):
+            left = ring.multiply(gi, gj)
+            for k, gk in enumerate(gens):
+                if ring.multiply(left, gk) != ring.multiply(gi, ring.multiply(gj, gk)):
+                    violations.append(Violation(
+                        "associativity",
+                        (ring.slot_name(i), ring.slot_name(j), ring.slot_name(k)),
+                        "(g_i g_j) g_k != g_i (g_j g_k)"))
+    return ValidationReport(violations)
+
+
+def random_presentation(rng, size):
+    """A presentation with random products: most break some axiom."""
+    gens = [Generator(f"g{i}", rng.randint(1, 4)) for i in range(size)]
+    products = {}
+    for left in gens:
+        for right in gens:
+            if rng.random() < 0.5:
+                products[(left.name, right.name)] = {
+                    rng.choice(gens).name: rng.choice([-2, -1, 1, 2])
+                    for _ in range(rng.randint(1, 2))}
+    return Ring(gens, products, name=f"random_{size}")
+
+
+def test_validate_matches_the_element_reference(monkeypatch):
+    rng = random.Random(20261022)
+    rings = ([fixtures.load_fixture(name) for name in ("surface_g2", "sullivan_mu_2", "hopf_4")]
+             + [random_presentation(rng, rng.randint(2, 5)) for _ in range(12)])
+    want = [validate_reference(ring) for ring in rings]
+    assert sum(len(report.violations) for report in want) > 200
+
+    def banned(*args):
+        raise AssertionError("validate multiplied Elements")
+
+    monkeypatch.setattr(Ring, "multiply", banned)
+    monkeypatch.setattr(Element, "__init__", banned)
+    for ring, report in zip(rings, want):
+        assert ring.validate() == report, ring.name
 
 
 def test_is_integral(torus):
@@ -206,6 +266,11 @@ def test_parser_rejects_non_integer_coefficient():
     }
     with pytest.raises(RingSpecError, match="coeff"):
         ring_from_dict(doc)
+    # the constructor takes exact numbers, and only integers among them
+    gens = [Generator("u", 2), Generator("v", 4)]
+    for coeff in (Fraction(1, 2), 1.5):
+        with pytest.raises(RingSpecError, match=r"non-integer structure constant .* 'u'\*'u'"):
+            Ring(gens, {("u", "u"): {"v": coeff}})
 
 
 def test_parser_rejects_unknown_generator():

@@ -197,6 +197,8 @@ def test_pair_matching_and_mismatched(torus, sphere):
     # <2 b(x)b, (1/2) dual b (x) dual b> = 1
     i3 = idx(sphere, even=[("b", 2)])
     assert pair(sphere, i3, dual_element(sphere, i3)) == 1
+    with pytest.raises(ValueError, match="pairing across different tensor arities"):
+        pair(torus, i1, dual_element(torus, idx(torus, odd=["a1"], pad=2)))
 
 
 def test_pair_exhaustive_duality():
@@ -422,3 +424,7 @@ def test_index_hash_is_the_field_tuple_hash():
     assert hash(moved) == hash((moved.odd, moved.even, 1))
     with pytest.raises(ValueError):
         dataclasses.replace(index, pad=-1)
+    with pytest.raises(ValueError, match=r"odd positions must strictly increase: \(1, 0\)"):
+        BasisIndex((1, 0), (), 0)
+    with pytest.raises(ValueError, match="even positions must strictly increase"):
+        BasisIndex((), ((4, 1), (4, 2)), 0)

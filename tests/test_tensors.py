@@ -193,6 +193,11 @@ def test_sym_element_spread_class(torus):
             + elementary(torus, [None, "a1", None])
             + elementary(torus, [None, None, "a1"]))
     assert got == want
+    a1 = torus.gen("a1")
+    with pytest.raises(ArityError, match="3 factors do not fit in 2 slots"):
+        sym_element(torus, 2, [a1, a1, a1])
+    with pytest.raises(ArityError, match="factor from a different presentation"):
+        sym_element(torus, 2, [a1, fixtures.surface_ring(1).gen("a1")])
 
 
 def test_unit_tensor_is_multiplicative_identity(torus):
