@@ -271,13 +271,16 @@ class IndexProduct:
     Terms are accumulated by class: each class's slots are sorted once,
     and each arrangement a term reaches is cached with its class's rank in
     sorted-slot order and its Koszul sign times pad_k!, so a result is
-    read off by rank.  Each right index's signed arrangements are
-    enumerated once, with the odd positions of each; the sign a left
-    index's odd slots put on them is read off those positions.  The
-    slot-product table and the orbits are cached per instance, and so is
-    each left class's set-up on its first use: its slot-product rows,
-    pad_i!, the prefix length that tells arrangements apart, flips, orbit
-    cache and, per slot, the slots it multiplies to nonzero as a bit mask.
+    read off by rank.  The sign a left index's odd slots put on a term
+    depends on one right slot per position, so it lives in the left
+    index's slot-product rows: those positions read a second table, each
+    odd right slot's terms negated.  Each right index's signed
+    arrangements are enumerated once, and its orbit is kept once per
+    prefix length.  The slot-product tables and the orbits are cached per
+    instance, and so is each left class's set-up on its first use: its
+    slot-product rows, pad_i!, the prefix length that tells arrangements
+    apart, orbit cache and, per slot, the slots it multiplies to nonzero
+    as a bit mask.
     A term is stepped as one (slots, coefficient) pair until a slot
     product has more than one term.
     """
@@ -294,17 +297,17 @@ class IndexProduct:
         self._odd = ring.odd_flags
         self._mul = [[tuple(ring.gen_product(a, b).items()) for b in slots]
                      for a in slots]
+        # the same rows, each odd right slot's terms negated (see _left)
+        self._mul_signed = [[tuple((t, -v) for t, v in combo) if self._odd[b] else combo
+                             for b, combo in enumerate(row)] for row in self._mul]
         # slot -> the slots it multiplies to nonzero, as a bit mask
         self._partners = [sum(1 << b for b, combo in enumerate(row) if combo)
                           for row in self._mul]
         # a -> the left class's set-up (see _left)
         self._lefts: dict[int, tuple] = {}
-        # j -> (blocks (b[0], [(b[1:], coeff), ...]), the odd positions of
-        # each b as a bit mask, block by block)
-        self._arrangements: dict[int, tuple[list, list]] = {}
-        # (prefix, flips) -> j -> blocks (b[0], [(b[1:], signed coeff),
-        # ...]), one b per run that agrees on b[:prefix]
-        self._orbits: dict[tuple[int, int], dict[int, list]] = {}
+        # prefix -> j -> blocks (b[0], [(b[1:], coeff), ...]), one b per
+        # run that agrees on b[:prefix]; at the arity, every b
+        self._orbits: dict[int, dict[int, list]] = {}
         # position -> its sorted slots
         self._slots = [idx.sorted_slots(ring) for idx in basis]
         if len(arities := sorted(set(map(len, self._slots)))) > 1:
@@ -323,8 +326,7 @@ class IndexProduct:
 
     def row(self, a: int, bs) -> list[dict[int, int]]:
         """The products basis[a] * basis[b] for each b in bs, in order."""
-        first, rest, den, prefix, flips, orbits, partners = (
-            self._lefts.get(a) or self._left(a))
+        first, rest, den, prefix, orbits, partners = self._lefts.get(a) or self._left(a)
         rights = self._rights
         known = self._classes
         order = self._order
@@ -334,7 +336,7 @@ class IndexProduct:
                 # a slot of basis[a] multiplies every slot of basis[b] to 0
                 out.append({})
                 continue
-            blocks = orbits.get(b) or self._orbit(b, prefix, flips)
+            blocks = orbits.get(b) or self._orbit(b, prefix)
             acc: dict[int, int] = {}
             for b0, block in blocks:
                 head = first[b0]
@@ -379,66 +381,55 @@ class IndexProduct:
     def _left(self, a: int) -> tuple:
         """basis[a]'s set-up for ``row``, built on its first use."""
         i, slots = self._basis[a], self._slots[a]
-        first, *rest = [self._mul[s] for s in slots]
-        # i's odd slots come first: the arrangements of j with an odd
-        # number of odd slots at these positions change sign (see _orbit)
-        flips = sum(1 << p for p in range(len(i.odd) - 2, -1, -2))
+        # i's L odd slots come first, so the interchange sign of e_i * b,
+        # (-1)^(sum over p < q of |b_p| |e_q|), counts for each odd b_p
+        # the L - 1 - p odd slots of e_i after p: it is the parity of the
+        # odd b_p at p = L - 2, L - 4, ..., and those positions read the
+        # rows that negate odd right slots
+        flipped = range(len(i.odd) - 2, -1, -2)
+        first, *rest = [(self._mul_signed if p in flipped else self._mul)[s]
+                        for p, s in enumerate(slots)]
         # with two units or more, only the slots before them tell the
         # arrangements of j apart (see _orbit)
         prefix = len(slots) - i.pad if i.pad > 1 else len(slots)
-        orbits = self._orbits.setdefault((prefix, flips), {})
+        orbits = self._orbits.setdefault(prefix, {})
         partners = tuple({self._partners[s] for s in slots})
-        hit = self._lefts[a] = (first, rest, factorial(i.pad), prefix, flips, orbits, partners)
+        hit = self._lefts[a] = (first, rest, factorial(i.pad), prefix, orbits, partners)
         return hit
 
     def _names(self, a: int, b: int) -> str:
         return f"{self._basis[a].label(self.ring)} * {self._basis[b].label(self.ring)}"
 
-    def _orbit(self, j: int, prefix: int, flips: int) -> list[tuple[int, list]]:
-        """The terms b of realize(basis[j]), with integer coefficients times the
-        interchange sign of e * b for an e whose first L slots are its odd
-        ones: (-1)^(sum over p < q of |b_p| |e_q|)
-        counts, for each odd b_p with p < L - 1, the L - 1 - p odd slots
-        of e after position p, so it is the parity of the odd b_p at the
-        positions p = L - 2, L - 4, ..., the bits set in ``flips``.  The
+    def _orbit(self, j: int, prefix: int) -> list[tuple[int, list]]:
+        """The terms b of realize(basis[j]), with integer coefficients.  The
         terms come in lex order, so those sharing a first slot b[0] are
         contiguous; they are kept as blocks (b[0], [(b[1:], coeff), ...]).
         The terms that agree on b[:prefix] are contiguous too, and when
-        ``prefix`` stops short of the last two slots, each run of them is
-        kept as its first term, its coefficient times the run's length.
+        ``prefix`` stops short of the arity, each run of them is kept as
+        its first term, its coefficient times the run's length.  The
+        positions whose sign a left class's rows carry come before its
+        prefix, so the terms of a run share that sign.
 
-        j's arrangements are enumerated on its first miss and kept, a j
-        with odd slots with the odd positions of each b as a bit mask;
-        unsigned, they are the orbit for ``flips`` = 0 and for a j without
-        odd slots.  A miss for other flips reads the signs off the stored
-        masks.  Built on a miss of the cache that ``row`` reads."""
-        hit = self._arrangements.get(j)
-        if hit is None:
-            idx = self._basis[j]
-            lead = idx.leading_multiplier
-            odd = self._odd
-            blocks, odd_at = [], []
+        j's arrangements are enumerated on its first miss, into the entry
+        for the arity, which keeps them unmerged.  Built on a miss of the
+        cache that ``row`` reads."""
+        every = self._orbits.setdefault(self._arity, {})
+        blocks = every.get(j)
+        if blocks is None:
+            lead = self._basis[j].leading_multiplier
+            blocks = every[j] = []
             for b, sign in signed_arrangements(self.ring, self._slots[j]):
                 if not blocks or blocks[-1][0] != b[0]:
                     blocks.append((b[0], []))
-                    odd_at.append([])
                 blocks[-1][1].append((b[1:], lead * sign))
-                if idx.odd:
-                    odd_at[-1].append(sum(1 << p for p, s in enumerate(b) if odd[s]))
-            hit = self._arrangements[j] = (blocks, odd_at)
-        blocks, odd_at = hit
-        if flips and self._basis[j].odd:
-            blocks = [(b0, [(tail, -c if (at & flips).bit_count() % 2 else c)
-                            for (tail, c), at in zip(block, ats)])
-                      for (b0, block), ats in zip(blocks, odd_at)]
-        if prefix < self._arity - 1:
+        if prefix < self._arity:
             # one term of each run that agrees on b[:prefix], times its length
             cut = max(prefix - 1, 0)
-            blocks = [(b0, [(tail, c * (1 + len(others)))
-                            for _, ((tail, c), *others)
-                            in itertools.groupby(block, key=lambda term: term[0][:cut])])
-                      for b0, block in blocks]
-        self._orbits[(prefix, flips)][j] = blocks
+            blocks = self._orbits[prefix][j] = [
+                (b0, [(tail, c * (1 + len(others)))
+                      for _, ((tail, c), *others)
+                      in itertools.groupby(block, key=lambda term: term[0][:cut])])
+                for b0, block in blocks]
         return blocks
 
     def _sort(self, slots: tuple[int, ...], a: int, b: int) -> tuple[int, int]:

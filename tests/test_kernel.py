@@ -277,15 +277,15 @@ def test_arrangements_agreeing_off_the_left_units_are_walked_once():
             got, want = product(a, b), reference(basis[a], basis[b])
             want = {basis.index(k): c for k, c in want.items()}
             assert (got, list(got)) == (want, list(want)), (a, b)
-    # orbits are kept by (slots walked, flips), one term per run of
-    # arrangements that agree on the walked slots: of 8,762 and 7,946
+    # orbits are kept by the number of slots walked, one term per run of
+    # arrangements that agree on those slots: of 8,762 and 7,946
     # arrangements, 251 and 4,516 terms are walked
-    for key, counts in [((1, 0), (71, 8762, 251)), ((4, 2), (63, 7946, 4516))]:
-        kept = product._orbits[key]
+    for prefix, counts in [(1, (71, 8762, 251)), (4, (63, 7946, 4516))]:
+        kept = product._orbits[prefix]
         arrangements = {j: [b for b, _ in sympower.signed_arrangements(
             ring, basis[j].sorted_slots(ring))] for j in kept}
         walked = {j: sum(len(block) for _, block in blocks) for j, blocks in kept.items()}
-        assert all(walked[j] == len({b[:key[0]] for b in arrangements[j]}) for j in kept)
+        assert all(walked[j] == len({b[:prefix] for b in arrangements[j]}) for j in kept)
         assert (len(kept), sum(map(len, arrangements.values())),
                 sum(walked.values())) == counts
 
@@ -368,16 +368,20 @@ def test_rows_hold_the_table_by_basis_position(ring, n, max_degree):
     assert not hasattr(table, "entries")
 
 
-@pytest.mark.parametrize("ring,n,max_degree,enumerations", [
-    (fixtures.surface_ring(2), 4, 8, 46),
-    (fixtures.sullivan_ring(2), 3, 9, 87),
+@pytest.mark.parametrize("ring,n,max_degree,enumerations,kept", [
+    (fixtures.surface_ring(2), 4, 8, 46, 129),
+    (fixtures.sullivan_ring(2), 3, 9, 87, 174),
 ], ids=["surface_g2-n4-d8", "sullivan_mu_2-n3-d9"])
-def test_kernel_enumerates_each_orbit_once(monkeypatch, ring, n, max_degree, enumerations):
+def test_kernel_enumerates_each_orbit_once(monkeypatch, ring, n, max_degree, enumerations,
+                                           kept):
     # a right index's arrangements are enumerated on its first product
-    # only; the signs for other left indices are read off the stored ones
+    # only, and its orbit is kept once per prefix of the left indices
+    # that reach it: the signs of a left index's odd slots are in its rows
     counted = 0
     whole = sympower.signed_arrangements
     rights = set()
+    lefts = set()
+    kernels = []
     row = IndexProduct.row
 
     def counting(ring, slots):
@@ -386,13 +390,21 @@ def test_kernel_enumerates_each_orbit_once(monkeypatch, ring, n, max_degree, enu
         return whole(ring, slots)
 
     def recording(self, i, js):
+        if self not in kernels:
+            kernels.append(self)
+        lefts.add(i)
         rights.update(js)
         return row(self, i, js)
 
     monkeypatch.setattr(sympower, "signed_arrangements", counting)
     monkeypatch.setattr(IndexProduct, "row", recording)
-    structure_constants(ring, n, max_degree)
+    basis = structure_constants(ring, n, max_degree).basis
     assert counted == enumerations == len(rights)
+    [product] = kernels
+    prefixes = {len(basis[i].sorted_slots(ring)) - basis[i].pad if basis[i].pad > 1 else n
+                for i in lefts}
+    assert set(product._orbits) == prefixes
+    assert sum(map(len, product._orbits.values())) == kept
 
 
 # -- multi-term slot products -------------------------------------------------
